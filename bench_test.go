@@ -803,22 +803,6 @@ func BenchmarkCompileBStump(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainBStumpTrim sweeps Friedman weight trimming on the per-round
-// stump search (quantile 0 is the exact path).
-func BenchmarkTrainBStumpTrim(b *testing.B) {
-	bm, q, _, y := benchTrainingMatrix(b)
-	for _, trim := range []int{0, 10, 30} {
-		b.Run(benchName("trimpct", trim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := ml.TrainOptions{Rounds: 40, TrimQuantile: float64(trim) / 100}
-				if _, err := ml.TrainBStump(bm, q, y, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTransformWorkers sweeps the quantization pool.
 func BenchmarkTransformWorkers(b *testing.B) {
 	_, q, cols, _ := benchTrainingMatrix(b)
@@ -1141,7 +1125,9 @@ func BenchmarkDriftMonitors(b *testing.B) {
 // BenchmarkShadowScore measures one week of challenger shadow scoring —
 // ScoreExamplesIx over every line of a matured week, off the serving
 // score tables — the incremental cost a live challenger adds to each tick
-// while it auditions.
+// while it auditions. serve.New detaches the eval context's encode cache
+// from the predictor, so every iteration encodes the week afresh, as the
+// drift loop's cache-free challenger does.
 func BenchmarkShadowScore(b *testing.B) {
 	ctx := benchContext(b)
 	pred, err := ctx.StandardPredictor()

@@ -47,7 +47,6 @@ func main() {
 		budget    = flag.Int("budget", 0, "ATDS capacity for predicted tickets (default population/50)")
 		workers   = flag.Int("workers", 0, "worker pool size for scoring (0 = all CPUs)")
 		shards    = flag.Int("shards", 0, "line-state store shards (0 = GOMAXPROCS, rounded up to a power of two)")
-		cacheEnt  = flag.Int("cache", 0, "encode/bin cache entries (0 = library default)")
 		pipeline  = flag.Bool("pipeline", true, "run the weekly pipeline loop over the simulated feed")
 		scenario  = flag.String("scenario", "", "drift scenario pack over the simulated feed: kind[:week=N,weeks=N,frac=F,mag=F,seed=N]; kinds firmware|weather|aging|outage")
 		startWeek = flag.Int("start-week", 40, "first week the pipeline ingests and ranks")
@@ -191,7 +190,6 @@ func main() {
 		PredictorPath:  *model,
 		LocatorPath:    *locator,
 		Shards:         *shards,
-		CacheEntries:   *cacheEnt,
 		DrainTimeout:   *drain,
 		RequestTimeout: *reqTimeout,
 		MaxInflight:    *maxInflight,

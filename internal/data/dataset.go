@@ -38,12 +38,6 @@ type Dataset struct {
 
 	// TrafficSeed derives the per-day traffic byte counters.
 	TrafficSeed uint64
-
-	// Generation distinguishes successive contents of a mutable data source
-	// for feature-cache keying: the serving store stamps each snapshot with
-	// its ingest version, so cached encodes of one generation are never
-	// served against another. Static offline datasets leave it 0.
-	Generation uint64
 }
 
 // AwaySpan is a period when a subscriber is away (vacation etc.) and

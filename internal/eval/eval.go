@@ -47,8 +47,6 @@ type Config struct {
 	// are identical either way (see eval/cache_test.go) — this exists for
 	// A/B verification and memory-constrained runs.
 	DisableCache bool
-	// CacheEntries bounds the cache (0 = features.DefaultCacheEntries).
-	CacheEntries int
 }
 
 // Defaults fills zero fields.
@@ -132,7 +130,7 @@ func NewContext(cfg Config) (*Context, error) {
 	}
 	ctx := &Context{Cfg: cfg, Res: res, DS: res.Dataset, Ix: data.NewTicketIndex(res.Dataset)}
 	if !cfg.DisableCache {
-		ctx.Cache = features.NewCache(cfg.CacheEntries)
+		ctx.Cache = features.NewCache(0)
 	}
 	return ctx, nil
 }

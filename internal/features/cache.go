@@ -14,29 +14,28 @@ import (
 // the same dataset, so fig4/fig6–fig9/table5/trend otherwise redo identical
 // feature extraction many times over.
 //
-// Keys fingerprint everything a cached value depends on. Encoded matrices
-// are keyed by (dataset generation, examples hash, history window) — note
-// the hash covers the FULL example list, not per-week pieces, because the
-// encoder's missing-line fallback vector averages over the examples' whole
-// week-set (per-week concatenation would change results). The dataset
-// generation (data.Dataset.Generation) is how a mutable source like the
-// serving store invalidates entries: each ingest produces snapshots with a
-// new generation, so stale encodes of the old contents can never be served.
-// Binned matrices additionally key on the consumer's column schema and the
-// quantizer's content fingerprint (ml.Quantizer.Fingerprint — pointer
-// identity would be unsafe across retrains).
+// A cache serves ONE immutable dataset: keys fingerprint the examples and
+// the consumer's configuration, never the data, so a cache must not outlive
+// the dataset it was filled from or be shared across datasets (the offline
+// eval.Context is the one owner; the serving daemon keeps none). Encoded
+// matrices are keyed by (examples hash, history window) — note the hash
+// covers the FULL example list, not per-week pieces, because the encoder's
+// missing-line fallback vector averages over the examples' whole week-set
+// (per-week concatenation would change results). Binned matrices
+// additionally key on the consumer's column schema and the quantizer's
+// content fingerprint (ml.Quantizer.Fingerprint — pointer identity would be
+// unsafe across retrains).
 //
 // Entries are bounded by an LRU policy (default 24). Cached values are
 // shared, never copied: all consumers treat encoded/binned matrices as
 // immutable after construction. A nil *Cache is valid and disables caching.
 type Cache struct {
-	mu        sync.Mutex
-	max       int
-	vals      map[string]any
-	order     []string // least recently used first
-	hits      int
-	misses    int
-	evictions int
+	mu     sync.Mutex
+	max    int
+	vals   map[string]any
+	order  []string // least recently used first
+	hits   int
+	misses int
 }
 
 // DefaultCacheEntries bounds a cache built with NewCache(0). A full
@@ -61,25 +60,6 @@ func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// CacheStats is the full counter snapshot a monitoring surface exports
-// (the daemon's /debug/vars reports one per process).
-type CacheStats struct {
-	Hits      int `json:"hits"`
-	Misses    int `json:"misses"`
-	Evictions int `json:"evictions"`
-	Entries   int `json:"entries"`
-}
-
-// StatsDetail returns every counter at once; nil caches report zeros.
-func (c *Cache) StatsDetail() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.vals)}
 }
 
 // Len returns the number of live entries.
@@ -125,7 +105,6 @@ func (c *Cache) put(key string, v any) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.vals, oldest)
-		c.evictions++
 	}
 }
 
@@ -185,7 +164,7 @@ func EncodeCached(c *Cache, ds *data.Dataset, ix *data.TicketIndex, examples []E
 		return Encode(ds, ix, examples, cfg)
 	}
 	cfg = cfg.defaults()
-	baseKey := fmt.Sprintf("enc|g%d|%016x|h%d", ds.Generation, ExamplesKey(examples), cfg.HistoryWeeks)
+	baseKey := fmt.Sprintf("enc|%016x|h%d", ExamplesKey(examples), cfg.HistoryWeeks)
 	if !cfg.Quadratic {
 		if v, ok := c.get(baseKey); ok {
 			return v.(*Encoded), nil

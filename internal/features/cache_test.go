@@ -44,12 +44,6 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 		t.Fatalf("Stats = (%d, %d), want (2, 1)", hits, misses)
 	}
 
-	// The detailed stats agree with the legacy pair and count the eviction.
-	d := c.StatsDetail()
-	if d.Hits != 2 || d.Misses != 1 || d.Evictions != 1 || d.Entries != 2 {
-		t.Fatalf("StatsDetail = %+v", d)
-	}
-
 	// A nil cache is inert but safe.
 	var nc *Cache
 	if _, ok := nc.GetBinned("x"); ok {
@@ -59,24 +53,27 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 	if h, m := nc.Stats(); h != 0 || m != 0 || nc.Len() != 0 {
 		t.Fatal("nil cache tracked state")
 	}
-	if d := nc.StatsDetail(); d != (CacheStats{}) {
-		t.Fatalf("nil cache StatsDetail = %+v", d)
-	}
 }
 
 // TestCacheEvictionCounter: every insertion beyond the bound evicts exactly
-// one entry, and the counter tracks them.
+// one entry — the oldest — so ten insertions into a bound of three leave
+// the last three and count seven misses for the rest.
 func TestCacheEvictionCounter(t *testing.T) {
 	c := NewCache(3)
 	for i := 0; i < 10; i++ {
 		c.PutBinned(string(rune('a'+i)), &ml.BinnedMatrix{N: i})
 	}
-	d := c.StatsDetail()
-	if d.Entries != 3 {
-		t.Fatalf("entries = %d, want the bound 3", d.Entries)
+	if c.Len() != 3 {
+		t.Fatalf("entries = %d, want the bound 3", c.Len())
 	}
-	if d.Evictions != 7 {
-		t.Fatalf("evictions = %d, want 7", d.Evictions)
+	for i := 0; i < 10; i++ {
+		bm, ok := c.GetBinned(string(rune('a' + i)))
+		if ok != (i >= 7) || (ok && bm.N != i) {
+			t.Fatalf("entry %d: present=%v after ten insertions into a bound of 3", i, ok)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 7 {
+		t.Fatalf("Stats = (%d, %d), want (3, 7): seven evictions", hits, misses)
 	}
 }
 
@@ -168,52 +165,6 @@ func TestEncodeCachedMatchesEncode(t *testing.T) {
 		if &quadEnc.Cols[i].Values[0] != &baseEnc.Cols[i].Values[0] {
 			t.Fatalf("quadratic encode copied base column %d instead of sharing it", i)
 		}
-	}
-}
-
-// TestEncodeCachedGenerationInvalidates: the cache key covers the dataset
-// generation, so a mutable source (the serving store) that stamps each
-// snapshot with a new generation never gets stale encodes — the bug class
-// where re-ingested tests were scored off the previous contents.
-func TestEncodeCachedGenerationInvalidates(t *testing.T) {
-	ds := cacheDataset(t)
-	ix := data.NewTicketIndex(ds)
-	examples := ExamplesForWeeks(ds, []int{30})
-	c := NewCache(0)
-
-	stale, err := EncodeCached(c, ds, ix, examples, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// New contents, new generation — as a store ingest produces.
-	for l := 0; l < ds.NumLines; l++ {
-		ds.Measurements[30*ds.NumLines+l].F[0] += 100
-	}
-	ds.Generation++
-	want, err := Encode(ds, ix, examples, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := EncodeCached(c, ds, ix, examples, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == stale {
-		t.Fatal("new generation served the previous generation's encode")
-	}
-	if !reflect.DeepEqual(fresh, want) {
-		t.Fatal("new-generation encode differs from plain Encode of the new contents")
-	}
-
-	// Both generations stay addressable: re-asking for the old one hits it.
-	ds.Generation--
-	back, err := EncodeCached(c, ds, ix, examples, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != stale {
-		t.Fatal("previous generation's entry was lost")
 	}
 }
 

@@ -54,47 +54,6 @@ type TrainOptions struct {
 	// model is bit-identical at any setting (see DESIGN.md, "Parallelism
 	// model").
 	Workers int
-	// TrimQuantile enables Friedman-style weight trimming: each round the
-	// weak-learner search skips the lowest-weight examples whose cumulative
-	// weight mass stays strictly below this quantile of the total, while
-	// reweighting still sees every example. Must be in [0, 1); 0 (the
-	// default) disables trimming, leaving the exact search untouched.
-	TrimQuantile float64
-}
-
-// trimRows returns the ascending row indices kept for a round's weak-learner
-// search under Friedman-style weight trimming: rows are ranked by ascending
-// weight (index breaks ties, for determinism) and the largest low-weight
-// prefix whose cumulative mass stays strictly below quantile·total is
-// dropped. A nil result means every row is kept. buf is reused across rounds.
-func trimRows(w []float64, quantile float64, buf []int) ([]int, []int) {
-	if quantile <= 0 {
-		return nil, buf
-	}
-	idx := buf[:0]
-	total := 0.0
-	for i, wi := range w {
-		idx = append(idx, i)
-		total += wi
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if w[idx[a]] != w[idx[b]] {
-			return w[idx[a]] < w[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	budget := quantile * total
-	cum, drop := 0.0, 0
-	for _, i := range idx {
-		if cum+w[i] >= budget {
-			break
-		}
-		cum += w[i]
-		drop++
-	}
-	kept := idx[drop:]
-	sort.Ints(kept)
-	return kept, idx
 }
 
 // TrainBStump boosts decision stumps on the quantized design matrix.
@@ -121,9 +80,6 @@ func TrainBStump(bm *BinnedMatrix, q *Quantizer, y []bool, opt TrainOptions) (*B
 			return nil, fmt.Errorf("ml: feature index %d out of range", f)
 		}
 	}
-	if opt.TrimQuantile < 0 || opt.TrimQuantile >= 1 {
-		return nil, fmt.Errorf("ml: TrimQuantile %g outside [0, 1)", opt.TrimQuantile)
-	}
 	eps := opt.Smooth
 	if eps == 0 {
 		eps = 1 / (2 * float64(bm.N))
@@ -136,11 +92,8 @@ func TrainBStump(bm *BinnedMatrix, q *Quantizer, y []bool, opt TrainOptions) (*B
 	}
 
 	model := &BStump{Names: bm.Names}
-	var trimBuf []int
 	for t := 0; t < opt.Rounds; t++ {
-		var rows []int
-		rows, trimBuf = trimRows(w, opt.TrimQuantile, trimBuf)
-		best, ok := bestStumpRows(bm, q, y, w, rows, features, eps, opt.Workers)
+		best, ok := bestStumpRows(bm, q, y, w, nil, features, eps, opt.Workers)
 		if !ok {
 			break // no splittable feature
 		}

@@ -268,73 +268,3 @@ func TestCompiledBTreeMatchesReference(t *testing.T) {
 		t.Fatalf("mutated BTree compiled off by %g", d)
 	}
 }
-
-// TestTrimQuantileValidatedAndDeterministic covers the trimming knob: out of
-// range values error, quantile 0 is the exact path, and a positive quantile
-// still trains a deterministic, usable model.
-func TestTrimQuantileValidatedAndDeterministic(t *testing.T) {
-	cols, y := synthProblem(4000, 29)
-	q, err := FitQuantizer(cols, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := q.Transform(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []float64{-0.1, 1, 1.5} {
-		if _, err := TrainBStump(bm, q, y, TrainOptions{Rounds: 5, TrimQuantile: bad}); err == nil {
-			t.Fatalf("TrimQuantile %g accepted", bad)
-		}
-		if _, err := TrainBTree(bm, q, y, TrainOptions{Rounds: 5, TrimQuantile: bad}); err == nil {
-			t.Fatalf("tree TrimQuantile %g accepted", bad)
-		}
-	}
-
-	exact, err := TrainBStump(bm, q, y, TrainOptions{Rounds: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := TrainBStump(bm, q, y, TrainOptions{Rounds: 40, TrimQuantile: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact.Stumps) != len(zero.Stumps) {
-		t.Fatalf("TrimQuantile 0 changed the model: %d vs %d stumps", len(zero.Stumps), len(exact.Stumps))
-	}
-	for i := range exact.Stumps {
-		if exact.Stumps[i] != zero.Stumps[i] {
-			t.Fatalf("TrimQuantile 0 changed stump %d: %+v vs %+v", i, zero.Stumps[i], exact.Stumps[i])
-		}
-	}
-
-	trimmedA, err := TrainBStump(bm, q, y, TrainOptions{Rounds: 40, TrimQuantile: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmedB, err := TrainBStump(bm, q, y, TrainOptions{Rounds: 40, TrimQuantile: 0.2, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trimmedA.Stumps {
-		if trimmedA.Stumps[i] != trimmedB.Stumps[i] {
-			t.Fatalf("trimmed training not deterministic across workers at stump %d", i)
-		}
-	}
-	// Trimming approximates the search, not the objective: the trimmed model
-	// must still separate the synthetic problem clearly.
-	scores := trimmedA.ScoreAll(bm)
-	correct := 0
-	for i, s := range scores {
-		if (s > 0) == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(y)); acc < 0.7 {
-		t.Fatalf("trimmed model accuracy %.3f, want >= 0.7", acc)
-	}
-
-	if _, err := TrainBTree(bm, q, y, TrainOptions{Rounds: 10, TrimQuantile: 0.2}); err != nil {
-		t.Fatalf("trimmed tree training failed: %v", err)
-	}
-}

@@ -68,9 +68,6 @@ func TrainBTree(bm *BinnedMatrix, q *Quantizer, y []bool, opt TrainOptions) (*BT
 			features[i] = i
 		}
 	}
-	if opt.TrimQuantile < 0 || opt.TrimQuantile >= 1 {
-		return nil, fmt.Errorf("ml: TrimQuantile %g outside [0, 1)", opt.TrimQuantile)
-	}
 	eps := opt.Smooth
 	if eps == 0 {
 		eps = 1 / (2 * float64(bm.N))
@@ -85,33 +82,20 @@ func TrainBTree(bm *BinnedMatrix, q *Quantizer, y []bool, opt TrainOptions) (*BT
 	// its own rows instead of rescanning all N with a mask test.
 	leftRows := make([]int, 0, n)
 	rightRows := make([]int, 0, n)
-	var trimBuf []int
 
 	model := &BTree{}
 	for t := 0; t < opt.Rounds; t++ {
-		var rows []int
-		rows, trimBuf = trimRows(w, opt.TrimQuantile, trimBuf)
-		root, ok := bestStumpRows(bm, q, y, w, rows, features, eps, opt.Workers)
+		root, ok := bestStumpRows(bm, q, y, w, nil, features, eps, opt.Workers)
 		if !ok {
 			break
 		}
 		rootBins := bm.Bins[root.Feature]
 		leftRows, rightRows = leftRows[:0], rightRows[:0]
-		if rows == nil {
-			for i := 0; i < n; i++ {
-				if rootBins[i] <= root.Cut {
-					leftRows = append(leftRows, i)
-				} else {
-					rightRows = append(rightRows, i)
-				}
-			}
-		} else {
-			for _, i := range rows {
-				if rootBins[i] <= root.Cut {
-					leftRows = append(leftRows, i)
-				} else {
-					rightRows = append(rightRows, i)
-				}
+		for i := 0; i < n; i++ {
+			if rootBins[i] <= root.Cut {
+				leftRows = append(leftRows, i)
+			} else {
+				rightRows = append(rightRows, i)
 			}
 		}
 		left, okL := bestStumpRows(bm, q, y, w, leftRows, features, eps, opt.Workers)

@@ -152,9 +152,9 @@ func assertSnapshotsIdentical(t *testing.T, tag string, a, b *Snapshot) {
 	if a.Version != b.Version {
 		t.Fatalf("%s: versions %d vs %d", tag, a.Version, b.Version)
 	}
-	if a.DS.Generation != b.DS.Generation || a.DS.NumLines != b.DS.NumLines || a.DS.NumDSLAMs != b.DS.NumDSLAMs {
-		t.Fatalf("%s: header diverged: gen %d/%d lines %d/%d dslams %d/%d", tag,
-			a.DS.Generation, b.DS.Generation, a.DS.NumLines, b.DS.NumLines, a.DS.NumDSLAMs, b.DS.NumDSLAMs)
+	if a.DS.NumLines != b.DS.NumLines || a.DS.NumDSLAMs != b.DS.NumDSLAMs {
+		t.Fatalf("%s: header diverged: lines %d/%d dslams %d/%d", tag,
+			a.DS.NumLines, b.DS.NumLines, a.DS.NumDSLAMs, b.DS.NumDSLAMs)
 	}
 	if len(a.Lines) != len(b.Lines) {
 		t.Fatalf("%s: %d vs %d lines", tag, len(a.Lines), len(b.Lines))

@@ -59,9 +59,8 @@ func ingestSteps(t *testing.T, s *Store, lo, hi int) {
 	}
 }
 
-// assertSameContent compares two snapshots through the serving surface,
-// ignoring Generation: restored stores carry a different process salt, so
-// generations legitimately differ while content must be bit-identical.
+// assertSameContent compares two snapshots through the serving surface: a
+// restored store's content must be bit-identical to the original's.
 func assertSameContent(t *testing.T, a, b *Snapshot) {
 	t.Helper()
 	if a == nil || b == nil {

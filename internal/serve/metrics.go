@@ -13,7 +13,7 @@ import (
 // construction so the /metrics series set is deterministic from boot
 // instead of depending on which traffic arrived first.
 var (
-	routeNames     = []string{"debugvars", "healthz", "ingest", "locate", "metrics", "rank", "reload", "score", "trace"}
+	routeNames     = []string{"healthz", "ingest", "locate", "metrics", "rank", "reload", "score", "trace"}
 	pipelineStages = []string{"pull", "ingest", "snapshot", "score", "rank", "dispatch"}
 	// driftStages are the drift loop's tracer stages (see internal/drift).
 	// Not preset into the stage-duration histogram: a daemon without a
@@ -26,9 +26,8 @@ var (
 // metrics owns the server's observability state: the registry every counter
 // and histogram lives in, and the ring-buffer tracer the pipeline writes
 // stage spans into. The registry is per-server, never process-global — a
-// test binary spins up many servers, and global names collide. The old
-// expvar block is gone; /debug/vars stays as a compatibility facade
-// rendered from these same registry-backed values.
+// test binary spins up many servers, and global names collide. /metrics is
+// the server's only counter surface.
 type metrics struct {
 	start  time.Time
 	reg    *obs.Registry
@@ -138,8 +137,8 @@ func newMetrics() *metrics {
 }
 
 // bindServer registers the exposition-time gauges that read live server
-// state: store size and staleness, cache effectiveness, degraded mode.
-// Called once from New, after the store and cache exist.
+// state: store size, staleness and ownership filtering, degraded mode.
+// Called once from New, after the store exists.
 func (m *metrics) bindServer(s *Server) {
 	reg := m.reg
 	reg.GaugeFunc("nevermind_store_lines",
@@ -165,18 +164,9 @@ func (m *metrics) bindServer(s *Server) {
 			}
 			return 0
 		})
-	reg.CounterFunc("nevermind_cache_hits_total",
-		"Encode/bin cache hits.",
-		func() float64 { return float64(s.cache.StatsDetail().Hits) })
-	reg.CounterFunc("nevermind_cache_misses_total",
-		"Encode/bin cache misses.",
-		func() float64 { return float64(s.cache.StatsDetail().Misses) })
-	reg.CounterFunc("nevermind_cache_evictions_total",
-		"Encode/bin cache LRU evictions.",
-		func() float64 { return float64(s.cache.StatsDetail().Evictions) })
-	reg.GaugeFunc("nevermind_cache_entries",
-		"Live encode/bin cache entries.",
-		func() float64 { return float64(s.cache.StatsDetail().Entries) })
+	reg.CounterFunc("nevermind_store_filtered_records_total",
+		"Valid records dropped by the fleet ownership filter (line owned by another shard).",
+		func() float64 { return float64(s.Store().FilteredRecords()) })
 }
 
 // statusWriter captures the response status so the instrumentation can count

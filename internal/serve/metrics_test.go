@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func metricsFixtureServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	for _, url := range []string{"/healthz", "/debug/vars", "/v1/rank?week=42&n=3", "/v1/trace"} {
+	for _, url := range []string{"/healthz", "/v1/rank?week=42&n=3", "/v1/trace"} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
@@ -52,6 +53,36 @@ func metricsFixtureServer(t *testing.T) (*Server, *httptest.Server) {
 		}
 	}
 	return srv, ts
+}
+
+// scrapeMetric GETs base's /metrics and returns the value of one sample,
+// named exactly as exposed (family name plus label set, if any). It fails
+// the test if the scrape does not answer 200 or the series is absent.
+func scrapeMetric(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: value %q: %v", series, v, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s absent from /metrics", series)
+	return 0
 }
 
 // normalizeMetrics replaces every sample value with <v>, keeping the parts
@@ -150,8 +181,7 @@ func TestMetricsCoverage(t *testing.T) {
 		"nevermind_pipeline_stage_duration_seconds_bucket",
 		"nevermind_store_ingest_duration_seconds_bucket",
 		"nevermind_store_snapshot_build_duration_seconds_sum",
-		"nevermind_cache_hits_total",
-		"nevermind_cache_misses_total",
+		"nevermind_store_filtered_records_total",
 		"nevermind_trace_spans_total",
 	} {
 		if !strings.Contains(text, family) {

@@ -17,9 +17,8 @@ import (
 //
 //   - snapshot versions are monotonic per observer: time never goes
 //     backwards for any single reader;
-//   - a snapshot is never torn: Generation always equals its Version (the
-//     cache-keying contract), the grid dimensions are self-consistent, and
-//     every line the snapshot lists is inside the grid;
+//   - a snapshot is never torn: the grid dimensions are self-consistent,
+//     and every line the snapshot lists is inside the grid;
 //   - after the dust settles, a final snapshot equals one rebuilt from
 //     scratch on a fresh store fed the same records — the store state is
 //     exactly the merge of what was ingested, regardless of interleaving
@@ -56,9 +55,6 @@ func TestStoreSnapshotInvariants(t *testing.T) {
 		t.Helper()
 		if sn == nil {
 			return
-		}
-		if sn.DS.Generation != s.genSalt|sn.Version {
-			t.Errorf("torn snapshot: Generation %d != salted Version %d", sn.DS.Generation, s.genSalt|sn.Version)
 		}
 		if err := sn.DS.Grid.Validate(sn.DS.NumLines); err != nil {
 			t.Errorf("torn snapshot: %v", err)
@@ -210,34 +206,5 @@ func TestStoreSnapshotInvariants(t *testing.T) {
 	}
 	if s.BuildFailures() == 0 {
 		t.Error("store never recorded an injected build failure")
-	}
-}
-
-// TestStoreSnapshotGenerationUnique pins the cache-keying contract: two
-// snapshots never share a Generation — not across versions of one store,
-// and not across DIFFERENT stores in the same process (the genSalt high
-// bits). The encode/bin caches downstream are attached to the model, which
-// an in-process fleet shares between every shard's store; without cross-
-// store uniqueness two stores both at version 2 would alias each other's
-// cached full-population score encodes.
-func TestStoreSnapshotGenerationUnique(t *testing.T) {
-	seen := map[uint64]bool{}
-	for _, s := range []*Store{NewStore(1), NewStore(1)} {
-		for i := 0; i < 10; i++ {
-			if _, err := s.IngestTests([]TestRecord{{Line: data.LineID(i), Week: i}}); err != nil {
-				t.Fatal(err)
-			}
-			sn := s.Snapshot()
-			if sn == nil {
-				t.Fatal("nil snapshot after ingest")
-			}
-			if sn.DS.Generation != s.genSalt|sn.Version {
-				t.Fatalf("snapshot %d: generation %d != salt %d | version %d", i, sn.DS.Generation, s.genSalt, sn.Version)
-			}
-			if seen[sn.DS.Generation] {
-				t.Fatalf("generation %d reused", sn.DS.Generation)
-			}
-			seen[sn.DS.Generation] = true
-		}
 	}
 }

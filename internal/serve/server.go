@@ -50,8 +50,6 @@ type Config struct {
 	LocatorPath   string
 	// Shards sizes the line-state store (0 = GOMAXPROCS).
 	Shards int
-	// CacheEntries bounds the encode/bin cache (0 = features default).
-	CacheEntries int
 	// DrainTimeout bounds graceful shutdown: in-flight requests get this
 	// long to finish after the listener closes (0 = 10s).
 	DrainTimeout time.Duration
@@ -61,8 +59,8 @@ type Config struct {
 	// MaxInflight load-sheds: when this many API requests are already in
 	// flight, new ones are refused with 503 + Retry-After instead of
 	// queueing behind a stall. 0 disables. The monitoring plane (/healthz,
-	// /metrics, /v1/trace, /debug/vars, /debug/pprof/) is exempt — it must
-	// answer during overload.
+	// /metrics, /v1/trace, /debug/pprof/) is exempt — it must answer during
+	// overload.
 	MaxInflight int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the API mux
 	// (the monitoring plane, so profiles remain reachable during overload).
@@ -107,13 +105,12 @@ func (rs ReplicaStatus) Lag() uint64 {
 }
 
 // Server is the nevermindd HTTP server: the sharded store, the current
-// model pair, the encode/bin cache they score through, and the API mux.
+// model pair, and the API mux.
 type Server struct {
 	// store is swappable: a replication follower re-bootstrapping after a
 	// retention gap builds a fresh store offline and swaps it in whole, so
 	// readers only ever see a store whose content matches its version.
 	store         atomic.Pointer[Store]
-	cache         *features.Cache
 	models        atomic.Pointer[Models]
 	m             *metrics
 	mux           *http.ServeMux
@@ -134,15 +131,16 @@ type Server struct {
 	scoreBarrier func()
 }
 
-// New builds a Server around trained models. The encode/bin cache is
-// attached to both models so repeated scoring of an unchanged store version
-// skips the feature pipeline entirely.
+// New builds a Server around trained models. Repeated scoring of a snapshot
+// is answered from its resident week score tables, so the models run
+// without an encode/bin cache: New detaches any cache an offline caller
+// trained them with (see features.Cache), because its keys ignore the data
+// and would serve one store's encodes for another's.
 func New(cfg Config) (*Server, error) {
 	if cfg.Predictor == nil {
 		return nil, errors.New("serve: a trained predictor is required")
 	}
 	s := &Server{
-		cache:         features.NewCache(cfg.CacheEntries),
 		m:             newMetrics(),
 		faults:        cfg.Faults,
 		readOnly:      cfg.ReadOnly,
@@ -156,9 +154,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.SwapStore(NewStore(cfg.Shards))
 	s.m.bindServer(s)
-	cfg.Predictor.SetEncodeCache(s.cache)
+	cfg.Predictor.SetEncodeCache(nil)
 	if cfg.Locator != nil {
-		cfg.Locator.SetEncodeCache(s.cache)
+		cfg.Locator.SetEncodeCache(nil)
 	}
 	if cfg.ModelID == "" {
 		cfg.ModelID = "boot"
@@ -172,7 +170,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/locate", s.m.instrument("locate", s.handleLocate))
 	mux.HandleFunc("POST /v1/reload", s.m.instrument("reload", s.handleReload))
 	mux.HandleFunc("GET /healthz", s.m.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /debug/vars", s.m.instrument("debugvars", s.handleDebugVars))
 	mux.HandleFunc("GET /metrics", s.m.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /v1/trace", s.m.instrument("trace", s.handleTrace))
 	if cfg.EnablePprof {
@@ -190,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 // buildHandler wraps the mux in the degradation middleware: a max-inflight
 // admission gate that sheds load with 503 + Retry-After, then a per-request
 // deadline. The monitoring endpoints bypass both — during an overload or a
-// stall, /healthz and /debug/vars are exactly what the operator needs.
+// stall, /healthz and /metrics are exactly what the operator needs.
 func (s *Server) buildHandler(timeout time.Duration, maxInflight int) http.Handler {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if h := s.faults; h != nil && h.Request != nil {
@@ -211,9 +208,8 @@ func (s *Server) buildHandler(timeout time.Duration, maxInflight int) http.Handl
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/healthz", r.URL.Path == "/debug/vars",
-			r.URL.Path == "/metrics", r.URL.Path == "/v1/trace",
-			r.URL.Path == "/v1/drift",
+		case r.URL.Path == "/healthz", r.URL.Path == "/metrics",
+			r.URL.Path == "/v1/trace", r.URL.Path == "/v1/drift",
 			strings.HasPrefix(r.URL.Path, "/debug/pprof/"),
 			strings.HasPrefix(r.URL.Path, "/v1/repl/"):
 			s.mux.ServeHTTP(w, r)
@@ -731,73 +727,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.m.tracer.Snapshot())
 }
 
-// latencySums renders per-route summed handling time in nanoseconds — the
-// shape the pre-registry expvar block exported, kept for /debug/vars
-// compatibility.
-func latencySums(v map[string]obs.HistSnapshot) map[string]int64 {
-	out := make(map[string]int64, len(v))
-	for route, s := range v {
-		out[route] = s.SumNs
-	}
-	return out
-}
-
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	models := s.Models()
-	m := s.m
-	st := s.Store()
-	vars := map[string]any{
-		"uptime_seconds":   time.Since(m.start).Seconds(),
-		"requests":         m.requests.Values(),
-		"errors":           m.errors.Values(),
-		"latency_ns_sum":   latencySums(m.latency.Snapshots()),
-		"ingested_tests":   m.ingestedTests.Value(),
-		"ingested_tickets": m.ingestedTickets.Value(),
-		"reloads":          m.reloads.Value(),
-		"store": map[string]any{
-			"lines":            st.NumLines(),
-			"version":          st.Version(),
-			"latest_week":      st.LatestWeek(),
-			"shard_lines":      st.ShardSizes(),
-			"filtered_records": st.FilteredRecords(),
-		},
-		// The degradation surface: snapshot_lag > 0 means rebuilds are
-		// failing and scoring is serving the last good (stale) snapshot;
-		// the counters say how the server has been shedding trouble.
-		"degraded": map[string]any{
-			"snapshot_lag":            st.SnapshotLag(),
-			"snapshot_stale":          st.SnapshotLag() > 0,
-			"snapshot_build_failures": st.BuildFailures(),
-			"load_shed":               m.loadShed.Value(),
-			"timeouts":                m.timeouts.Value(),
-			"reload_failures":         m.reloadFailures.Value(),
-		},
-		"cache": s.cache.StatsDetail(),
-		"model": map[string]any{
-			"schema_fingerprint":   fmt.Sprintf("%016x", models.Pred.SchemaFingerprint()),
-			"rounds":               len(models.Pred.Model.Stumps),
-			"budget_n":             models.Pred.Cfg.BudgetN,
-			"locator_dispositions": locatorDispositions(models.Loc),
-		},
-		"pipeline": map[string]any{
-			"ticks":     m.pipelineTicks.Value(),
-			"week":      m.pipelineWeek.Value(),
-			"submitted": m.pipelineSubmitted.Value(),
-			"worked":    m.pipelineWorked.Value(),
-			"expired":   m.pipelineExpired.Value(),
-			"retries":   m.pipelineRetries.Value(),
-		},
-	}
-	writeJSON(w, http.StatusOK, vars)
-}
-
-func locatorDispositions(loc *core.TroubleLocator) int {
-	if loc == nil {
-		return 0
-	}
-	return len(loc.Dispositions)
-}
-
 // --- hot reload ---------------------------------------------------------------
 
 // ReloadResult reports what a hot reload did. ProbeExamples is how many
@@ -848,14 +777,12 @@ func (s *Server) reload() (*ReloadResult, error) {
 	// the worker-pool size and the -budget override both outlive a reload.
 	pred.Cfg.Workers = old.Pred.Cfg.Workers
 	pred.Cfg.BudgetN = old.Pred.Cfg.BudgetN
-	pred.SetEncodeCache(s.cache)
 	loc := old.Loc
 	if s.locatorPath != "" {
 		loc, err = core.LoadLocator(s.locatorPath)
 		if err != nil {
 			return nil, err
 		}
-		loc.SetEncodeCache(s.cache)
 	}
 
 	id := fmt.Sprintf("reload-%016x", pred.SchemaFingerprint())
@@ -875,7 +802,6 @@ func (s *Server) Promote(pred *core.TicketPredictor, id string) (*ReloadResult, 
 	// Operational settings travel with the process (see reload).
 	pred.Cfg.Workers = old.Pred.Cfg.Workers
 	pred.Cfg.BudgetN = old.Pred.Cfg.BudgetN
-	pred.SetEncodeCache(s.cache)
 	res, err := s.probeAndSwap(old, pred, old.Loc, id)
 	if err != nil {
 		s.m.reloadFailures.Add(1)

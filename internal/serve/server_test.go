@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nevermind/internal/core"
 	"nevermind/internal/data"
 	"nevermind/internal/features"
 )
@@ -219,50 +220,23 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// The monitoring surface reflects the traffic above.
-	resp, vars := getJSON(t, ts.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars: %d", resp.StatusCode)
+	for _, route := range []string{"score", "rank", "ingest"} {
+		if v := scrapeMetric(t, ts.URL, `nevermind_http_requests_total{route="`+route+`"}`); v == 0 {
+			t.Fatalf("request counter for %s missed its traffic", route)
+		}
 	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(vars["requests"], &reqs); err != nil {
-		t.Fatal(err)
+	if v := scrapeMetric(t, ts.URL, `nevermind_http_request_errors_total{route="score"}`); v == 0 {
+		t.Fatal("error counter missed the bad score requests")
 	}
-	if reqs["score"] == 0 || reqs["rank"] == 0 || reqs["ingest"] == 0 {
-		t.Fatalf("request counters missing traffic: %v", reqs)
-	}
-	var errs map[string]int64
-	if err := json.Unmarshal(vars["errors"], &errs); err != nil {
-		t.Fatal(err)
-	}
-	if errs["score"] == 0 {
-		t.Fatalf("error counter missed the bad requests: %v", errs)
-	}
-	var store struct {
-		Lines      int   `json:"lines"`
-		ShardLines []int `json:"shard_lines"`
-	}
-	if err := json.Unmarshal(vars["store"], &store); err != nil {
-		t.Fatal(err)
-	}
-	if store.Lines != ds.NumLines || len(store.ShardLines) != srv.Store().NumShards() {
-		t.Fatalf("store vars: %+v", store)
-	}
-	var cache struct {
-		Hits, Misses, Entries int
-	}
-	if err := json.Unmarshal(vars["cache"], &cache); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses == 0 {
-		t.Fatal("cache counters never moved")
+	if v := scrapeMetric(t, ts.URL, "nevermind_store_lines"); v != float64(ds.NumLines) {
+		t.Fatalf("nevermind_store_lines = %v, want %d", v, ds.NumLines)
 	}
 }
 
-// TestScoreFreshAfterReingest pins the cache-invalidation contract: the
-// encode/bin cache keys include the snapshot's dataset generation, so a
-// score repeated with the same example list after a re-ingest that changed
-// the data must reflect the new store contents, not the cached matrix of
-// the old snapshot.
+// TestScoreFreshAfterReingest: a score repeated with the same example list
+// after a re-ingest that changed the data must reflect the new store
+// contents. Week score tables belong to one snapshot, so nothing computed
+// for the old snapshot may answer for the new one.
 func TestScoreFreshAfterReingest(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -291,7 +265,7 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 		return version, preds
 	}
 	v0, _ := score()
-	score() // populate the cache for the current generation
+	score() // answered from the first snapshot's week table
 
 	// Replay week 41 with perturbed measurements — re-ingested tests, as a
 	// corrected upstream feed would send.
@@ -312,10 +286,8 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 	if v1 == v0 {
 		t.Fatal("re-ingest did not bump the served version")
 	}
-	// Ground truth: the same predictor scoring the new snapshot with no
-	// cache in the path at all.
+	// Ground truth: the same predictor scoring the new snapshot directly.
 	pred := srv.Models().Pred
-	pred.SetEncodeCache(nil)
 	sn := srv.Store().Snapshot()
 	ex := make([]features.Example, len(examples))
 	for i, e := range examples {
@@ -325,11 +297,174 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.SetEncodeCache(srv.cache)
 	for i := range got {
 		if got[i].Score != want[i].Score || got[i].Probability != want[i].Probability {
-			t.Fatalf("post-reingest score %d served stale: %+v, uncached truth %+v", i, got[i], want[i])
+			t.Fatalf("post-reingest score %d served stale: %+v, direct truth %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestServersShareNoEncodeCache pins the cross-store aliasing bug the
+// in-process fleet once exposed, as behaviour. Two servers share one
+// predictor and one locator that were trained with an offline encode/bin
+// cache attached, and ingest the same line ids with different values up to
+// the same version. Each must answer score, rank and locate exactly as
+// cache-free copies of the models compute on its own snapshot. The cache's
+// keys cover the examples, not the data, so if New left it attached the
+// second server would be answered from the first one's encodes.
+func TestServersShareNoEncodeCache(t *testing.T) {
+	ds, _, _ := fixture(t)
+	cache := features.NewCache(0)
+	pcfg := core.DefaultPredictorConfig(ds.NumLines, 11)
+	pcfg.Rounds = 10
+	pcfg.MaxSelectExamples = 4000
+	pred, err := core.TrainPredictorCached(ds, features.WeekRange(36, 38), pcfg, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := core.DefaultLocatorConfig(11)
+	lcfg.Rounds = 5
+	lcfg.MinCases = 5
+	cases := core.CasesFromNotes(ds, data.FirstSaturday, data.SaturdayOf(40)-1)
+	loc, err := core.TrainLocatorCached(ds, cases, lcfg, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cache-free copies: a saved model loads without a cache.
+	dir := t.TempDir()
+	if err := pred.Save(filepath.Join(dir, "pred.gob.gz")); err != nil {
+		t.Fatal(err)
+	}
+	if err := loc.Save(filepath.Join(dir, "loc.gob.gz")); err != nil {
+		t.Fatal(err)
+	}
+	refPred, err := core.LoadPredictor(filepath.Join(dir, "pred.gob.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLoc, err := core.LoadLocator(filepath.Join(dir, "loc.gob.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const week = 41
+	tests, tickets := recordsFor(ds, 39, week)
+	shifted := make([]TestRecord, len(tests))
+	for i, r := range tests {
+		r.F = append([]float32(nil), r.F...)
+		for j := range r.F {
+			r.F[j] += 3
+		}
+		shifted[i] = r
+	}
+	var urls [2]string
+	var stores [2]*Store
+	for i, recs := range [][]TestRecord{tests, shifted} {
+		srv, err := New(Config{Predictor: pred, Locator: loc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, body := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"tests": recs, "tickets": tickets})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d ingest: %d %s", i, resp.StatusCode, body["error"])
+		}
+		urls[i], stores[i] = ts.URL, srv.Store()
+	}
+	if stores[0].Version() != stores[1].Version() {
+		t.Fatalf("stores at versions %d and %d, want one version", stores[0].Version(), stores[1].Version())
+	}
+
+	examples := make([]map[string]any, 0, 32)
+	ex := make([]features.Example, 0, 32)
+	for l := 0; l < 32; l++ {
+		line := l * 61 % ds.NumLines
+		examples = append(examples, map[string]any{"line": line, "week": week})
+		ex = append(ex, features.Example{Line: data.LineID(line), Week: week})
+	}
+	const locLine = 7
+	var served [2][]predictionJSON
+	for i, url := range urls {
+		sn := stores[i].Snapshot()
+
+		resp, body := postJSON(t, url+"/v1/score", map[string]any{"examples": examples})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d score: %d %s", i, resp.StatusCode, body["error"])
+		}
+		if err := json.Unmarshal(body["predictions"], &served[i]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := refPred.PredictExamples(sn.DS, sn.Ix, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range served[i] {
+			if p.Score != want[j].Score || p.Probability != want[j].Probability {
+				t.Errorf("server %d score %d: served %+v, cache-free model says %+v", i, j, p, want[j])
+				break
+			}
+		}
+
+		resp, body = getJSON(t, fmt.Sprintf("%s/v1/rank?week=%d&n=10", url, week))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d rank: %d %s", i, resp.StatusCode, body["error"])
+		}
+		var ranked []predictionJSON
+		if err := json.Unmarshal(body["predictions"], &ranked); err != nil {
+			t.Fatal(err)
+		}
+		top, err := refPred.TopN(sn.DS, week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ranked) != 10 || len(top) < 10 {
+			t.Fatalf("server %d rank: %d served, %d from the model", i, len(ranked), len(top))
+		}
+		for j, p := range ranked {
+			if p.Line != top[j].Line || p.Score != top[j].Score {
+				t.Errorf("server %d rank[%d]: served %+v, cache-free model says %+v", i, j, p, top[j])
+				break
+			}
+		}
+
+		resp, body = postJSON(t, url+"/v1/locate", map[string]any{"line": locLine, "week": week})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d locate: %d %s", i, resp.StatusCode, body["error"])
+		}
+		var disps []struct {
+			ID          int     `json:"id"`
+			Probability float64 `json:"probability"`
+		}
+		if err := json.Unmarshal(body["dispositions"], &disps); err != nil {
+			t.Fatal(err)
+		}
+		post, err := refLoc.Posteriors(sn.DS, []core.DispatchCase{{Line: locLine, Week: week}}, core.ModelCombined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPost := make(map[int]float64, len(refLoc.Dispositions))
+		for j, d := range refLoc.Dispositions {
+			wantPost[int(d)] = post[0][j]
+		}
+		if len(disps) != len(wantPost) {
+			t.Fatalf("server %d locate: %d dispositions, model has %d", i, len(disps), len(wantPost))
+		}
+		for _, d := range disps {
+			if d.Probability != wantPost[d.ID] {
+				t.Errorf("server %d locate disposition %d: served %v, cache-free model says %v", i, d.ID, d.Probability, wantPost[d.ID])
+				break
+			}
+		}
+	}
+	// The servers hold different data, so a pass above proves each answered
+	// from its own store.
+	same := true
+	for j := range served[0] {
+		same = same && served[0][j].Score == served[1][j].Score
+	}
+	if same {
+		t.Fatal("both servers scored identically; the shifted ingest changed nothing")
 	}
 }
 
@@ -583,9 +718,8 @@ func TestHotReloadEquality(t *testing.T) {
 	}
 
 	// A reload counter must have moved.
-	_, vars := getJSON(t, ts.URL+"/debug/vars")
-	if string(vars["reloads"]) != "1" {
-		t.Fatalf("reloads counter = %s", vars["reloads"])
+	if v := scrapeMetric(t, ts.URL, "nevermind_model_reloads_total"); v != 1 {
+		t.Fatalf("nevermind_model_reloads_total = %v, want 1", v)
 	}
 
 	// Operational settings set on the process (the -budget and -workers

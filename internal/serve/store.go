@@ -162,32 +162,6 @@ type Store struct {
 	// by the Durability manager before the store takes traffic; nil (the
 	// default) logs nothing.
 	walSink func(version uint64, tests []TestRecord, tickets []data.Ticket)
-
-	// genSalt disambiguates snapshot generations between stores in one
-	// process. Downstream encode/bin caches key on DS.Generation, and the
-	// cache is attached to the (shared) model — in a process holding several
-	// stores at once (an in-process fleet: gateway tests, benches, the
-	// embedded pipeline harness) two stores independently reach version 2
-	// with different contents, and unsalted generations would alias their
-	// cached full-population score encodes across stores.
-	genSalt uint64
-}
-
-// genSaltShift positions the store sequence number above any version a store
-// can reach (2^40 ingests), so Generation = salt | version stays collision-
-// free across stores without disturbing low-bits version ordering.
-const genSaltShift = 40
-
-// storeSeq numbers stores process-wide for genSalt. The first store gets
-// salt 0, keeping single-store generations identical to the version counter.
-var storeSeq atomic.Uint64
-
-// GenerationOf returns the dataset generation a snapshot of this store at
-// the given version carries: the store's process-unique salt OR'd with the
-// version. External tests assert the snapshot-consistency invariant
-// (sn.DS.Generation == store.GenerationOf(sn.Version)) through it.
-func (s *Store) GenerationOf(version uint64) uint64 {
-	return s.genSalt | version
 }
 
 // NewStore creates a store with the given shard count rounded up to a power
@@ -202,9 +176,8 @@ func NewStore(shards int) *Store {
 		n <<= 1
 	}
 	s := &Store{
-		shards:  make([]shard, n),
-		mask:    uint32(n - 1),
-		genSalt: (storeSeq.Add(1) - 1) << genSaltShift,
+		shards: make([]shard, n),
+		mask:   uint32(n - 1),
 	}
 	for i := range s.shards {
 		s.shards[i].lines = make(map[data.LineID]*lineState)
@@ -779,7 +752,6 @@ func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (
 	}
 	n := base.DS.NumLines
 	ds := *base.DS // shallow copy; COW fields below replace what changes
-	ds.Generation = s.genSalt | version
 	ds.Grid = base.DS.Grid.ShareCopy()
 	ownedChunks := make([]bool, len(ds.Grid.Chunks))
 
@@ -989,15 +961,11 @@ func (s *Store) build(version uint64) (*Snapshot, error) {
 	}
 	n := int(maxLine) + 1
 	ds := &data.Dataset{
-		// Generation keys the feature caches downstream: snapshots of
-		// different store versions — or of different stores in the same
-		// process (genSalt) — must never share cached encodes.
-		Generation: s.genSalt | version,
-		NumLines:   n,
-		ProfileOf:  make([]uint8, n),
-		DSLAMOf:    make([]int32, n),
-		UsageOf:    make([]float32, n),
-		Grid:       data.NewMeasurementGrid(n),
+		NumLines:  n,
+		ProfileOf: make([]uint8, n),
+		DSLAMOf:   make([]int32, n),
+		UsageOf:   make([]float32, n),
+		Grid:      data.NewMeasurementGrid(n),
 	}
 	present := make([][]bool, data.Weeks)
 	for w := 0; w < data.Weeks; w++ {

@@ -113,8 +113,12 @@ GOT=$(grep -o '"line":' <<<"$RANK" | wc -l)
 [[ "$GOT" -eq 5 ]] || fail "/v1/rank returned $GOT predictions, want 5: $RANK"
 
 # The degradation gauges are exposed.
-curl -fsS "$BASE/debug/vars" | grep -q '"degraded"' \
-    || fail "/debug/vars is missing the degraded block"
+METRICS="$(curl -fsS "$BASE/metrics")" || fail "/metrics errored after the storm"
+for series in nevermind_degraded nevermind_store_snapshot_lag \
+    nevermind_store_snapshot_build_failures_total nevermind_http_load_shed_total \
+    nevermind_http_timeouts_total nevermind_model_reload_failures_total; do
+    grep -q "^$series " <<<"$METRICS" || fail "/metrics is missing $series"
+done
 
 kill -TERM "$PID"
 DEADLINE=$((SECONDS + 30))

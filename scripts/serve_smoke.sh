@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the nevermindd daemon: boot on a random port,
-# ingest a small batch over HTTP, check /healthz and /v1/rank, then make
-# sure SIGTERM drains cleanly. Used by `make serve-smoke` (part of `make
-# check`); needs only curl and a Go toolchain.
+# ingest a small batch over HTTP, check /healthz, /v1/score, /v1/rank and
+# the request counters on /metrics, then make sure SIGTERM drains cleanly.
+# Used by `make serve-smoke` (part of `make check`); needs only curl and a
+# Go toolchain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,8 +82,19 @@ GOT=$(grep -o '"line":' <<<"$RANK" | wc -l)
 [[ "$GOT" -eq 5 ]] || fail "/v1/rank returned $GOT predictions, want 5: $RANK"
 echo "serve-smoke: rank returned 5 predictions"
 
-curl -fsS "$BASE/debug/vars" | grep -q '"requests"' \
-    || fail "/debug/vars is missing request counters"
+SCORE="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+    --data '{"examples":[{"line":3,"week":41},{"line":7,"week":41}]}' \
+    "$BASE/v1/score")" || fail "/v1/score errored"
+GOT=$(grep -o '"probability":' <<<"$SCORE" | wc -l)
+[[ "$GOT" -eq 2 ]] || fail "/v1/score returned $GOT predictions, want 2: $SCORE"
+echo "serve-smoke: score returned 2 predictions"
+
+# /metrics counted exactly the API traffic above.
+METRICS="$(curl -fsS "$BASE/metrics")" || fail "/metrics errored"
+for route in ingest score rank; do
+    grep -qx "nevermind_http_requests_total{route=\"$route\"} 1" <<<"$METRICS" \
+        || fail "/metrics does not count one $route request"
+done
 
 kill -TERM "$PID"
 DEADLINE=$((SECONDS + 30))
