@@ -47,19 +47,21 @@ bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Machine-readable numbers for the ML and serving hot paths (reference vs
-# compiled scoring, training, transform, the serve endpoint, the
-# full-vs-delta snapshot rebuild, the fleet gateway's scatter-gather
-# score/rank paths, the durability axis: ingest with the WAL off vs on
-# plus cold-restart recovery, the replication axis: follower catch-up
-# over HTTP plus gateway scoring through a replica, and the drift loop:
-# the per-week monitor fold plus one week of challenger shadow scoring);
-# BENCH_ml.json is committed so perf diffs show up in review.
+# compiled scoring, training, transform, the serve endpoint, scoring after a
+# feed re-ingest, the full-vs-delta snapshot rebuild, the fleet gateway's
+# scatter-gather score/rank paths, the durability axis: ingest with the WAL
+# off vs on plus cold-restart recovery, the replication axis: follower
+# catch-up over HTTP plus gateway scoring through a replica, and the drift
+# loop: the per-week monitor fold plus one week of challenger shadow scoring);
+# BENCH_ml.json is committed so perf diffs show up in review. GOMAXPROCS=1
+# keeps benchmark names free of the -N CPU suffix bench-diff matches on.
 bench-json:
-	$(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|Snapshot|FleetScore|FleetRank|IngestWAL|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|FleetScore|FleetRank|IngestWAL|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
 
-# Perf gate: rerun the compiled-scoring and serve-score benchmarks and fail
-# on a >25% ns/op regression — or an allocs/op regression past the same
-# margin plus two allocs of slack — against the committed BENCH_ml.json.
+# Perf gate: rerun the compiled-scoring, serve-score and score-after-ingest
+# benchmarks (among others; see the script) and fail on a >50% ns/op
+# regression — or an allocs/op regression past the same margin plus two
+# allocs of slack — against the committed BENCH_ml.json.
 bench-diff:
 	./scripts/bench_diff.sh
 

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -453,6 +454,73 @@ func BenchmarkServeScore(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N*ds.NumLines)/s, "lines/sec")
 	}
+}
+
+// BenchmarkScoreAfterIngest measures the score-table layer under a live
+// feed: with the week 35-43 tables resident, each op re-ingests 200 week-43
+// records (a feed retry re-delivering the values the store holds) and then
+// scores one line at each of the 9 weeks through the handler, so the op pays
+// the delta snapshot plus whatever table work the ingest forces. rows/op
+// counts the rows the compiled scorer ran; a full rebuild of every resident
+// table would be 9 x lines.
+func BenchmarkScoreAfterIngest(b *testing.B) {
+	const firstWeek, lastWeek, batch = 35, 43, 200
+	ctx := benchContext(b)
+	pred, err := ctx.StandardPredictor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Predictor: pred})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := ctx.DS
+	populateServeStore(b, srv, ds)
+
+	reqs := make([]*http.Request, 0, lastWeek-firstWeek+1)
+	rds := make([]*bytes.Reader, 0, cap(reqs))
+	for w := firstWeek; w <= lastWeek; w++ {
+		rd := bytes.NewReader([]byte(fmt.Sprintf(`{"examples":[{"line":%d,"week":%d}]}`, (w*97)%ds.NumLines, w)))
+		rds = append(rds, rd)
+		reqs = append(reqs, httptest.NewRequest(http.MethodPost, "/v1/score", rd))
+	}
+	sink := &sinkResponseWriter{h: make(http.Header, 4)}
+	handler := srv.Handler()
+	scoreAll := func() {
+		for i, req := range reqs {
+			rds[i].Seek(0, io.SeekStart)
+			sink.code, sink.n = 0, 0
+			handler.ServeHTTP(sink, req)
+			if sink.code != http.StatusOK {
+				b.Fatalf("score: status %d", sink.code)
+			}
+		}
+	}
+	scoreAll() // warm the snapshot and every resident week table
+
+	perm := rng.Derive(17, 0xfeed).Perm(ds.NumLines)
+	recs := make([]serve.TestRecord, batch)
+	var rows atomic.Int64
+	ml.SetScoreObserver(func(n int, _ time.Duration) { rows.Add(int64(n)) })
+	defer ml.SetScoreObserver(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range recs {
+			l := perm[(i*batch+j)%len(perm)]
+			m := ds.At(data.LineID(l), lastWeek)
+			recs[j] = serve.TestRecord{
+				Line: m.Line, Week: lastWeek, Missing: m.Missing, F: m.F[:],
+				Profile: ds.ProfileOf[l], DSLAM: ds.DSLAMOf[l], Usage: ds.UsageOf[l],
+			}
+		}
+		if _, err := srv.Store().IngestTests(recs); err != nil {
+			b.Fatal(err)
+		}
+		scoreAll()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rows.Load())/float64(b.N), "rows/op")
 }
 
 // benchFleet builds an in-process fleet: n shard daemons behind a gateway,

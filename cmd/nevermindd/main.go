@@ -37,9 +37,9 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		lines     = flag.Int("lines", 20000, "subscriber population to simulate (ignored with -data)")
-		seed      = flag.Uint64("seed", 42, "simulation and training seed")
-		dataPath  = flag.String("data", "", "load a dataset written by dslsim instead of simulating")
+		lines     = flag.Int("lines", 20000, "subscriber population to simulate when startup training or the pipeline needs a dataset (ignored with -data)")
+		seed      = flag.Uint64("seed", 42, "seed for the simulated year, startup training and pipeline retry jitter")
+		dataPath  = flag.String("data", "", "load a dataset written by dslsim instead of simulating (read only when startup training or the pipeline needs one)")
 		model     = flag.String("model", "", "load a trained predictor instead of training at startup")
 		locator   = flag.String("locator", "", "load a trained trouble locator")
 		trainLoc  = flag.Bool("train-locator", false, "train a locator at startup when -locator is unset")
@@ -128,9 +128,12 @@ func main() {
 		}
 	}
 
-	ds, err := loadOrSimulate(*dataPath, *lines, *seed)
-	if err != nil {
-		fatalStage("dataset", err)
+	var ds *data.Dataset
+	if needsDataset(*model, *locator, *trainLoc, *pipeline) {
+		var err error
+		if ds, err = loadOrSimulate(*dataPath, *lines, *seed); err != nil {
+			fatalStage("dataset", err)
+		}
 	}
 
 	pred, err := loadOrTrainPredictor(ds, *model, *startWeek, *rounds, *budget, *workers, *seed)
@@ -440,6 +443,15 @@ func main() {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "nevermindd: drained, exiting")
+}
+
+// needsDataset reports whether any of the dataset's three readers is active:
+// predictor training (no -model), locator training (-train-locator without
+// -locator) and the pipeline's simulated feed. A daemon that loads its models
+// and takes its data over /v1/ingest (every fleet shard and replica) skips
+// simulating a year nothing would read.
+func needsDataset(model, locator string, trainLocator, pipeline bool) bool {
+	return model == "" || (locator == "" && trainLocator) || pipeline
 }
 
 func loadOrSimulate(path string, lines int, seed uint64) (*data.Dataset, error) {

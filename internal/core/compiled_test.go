@@ -63,7 +63,7 @@ func TestCompiledLocatorMatchesReferencePosteriors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm, err := loc.casesMatrix(res.Dataset, test)
+	bm, err := loc.casesMatrix(res.Dataset, nil, test)
 	if err != nil {
 		t.Fatal(err)
 	}

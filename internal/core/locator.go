@@ -182,7 +182,7 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 	}
 
 	// Encode the dispatch cases once.
-	enc, err := encodeCases(ds, cases, cfg.HistoryWeeks, cache)
+	enc, err := encodeCases(ds, nil, cases, cfg.HistoryWeeks, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -288,20 +288,20 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 }
 
 // encodeCases builds the full Table 3 feature set (no products; §6.3 uses
-// all line features) for dispatch cases, memoized when a cache is given.
-func encodeCases(ds *data.Dataset, cases []DispatchCase, historyWeeks int, cache *features.Cache) (*features.Encoded, error) {
+// all line features) for dispatch cases, memoized when a cache is given. A
+// nil ix builds the ticket index from ds.
+func encodeCases(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, historyWeeks int, cache *features.Cache) (*features.Encoded, error) {
 	ex := make([]features.Example, len(cases))
 	for i, c := range cases {
 		ex[i] = features.Example{Line: c.Line, Week: c.Week}
 	}
-	ix := data.NewTicketIndex(ds)
 	return features.EncodeCached(cache, ds, ix, ex, features.Config{HistoryWeeks: historyWeeks, Quadratic: true})
 }
 
 // casesMatrix returns the quantized design matrix for dispatch cases,
 // memoized (keyed by the cases and the quantizer's content fingerprint) when
 // a cache is attached.
-func (l *TroubleLocator) casesMatrix(ds *data.Dataset, cases []DispatchCase) (*ml.BinnedMatrix, error) {
+func (l *TroubleLocator) casesMatrix(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase) (*ml.BinnedMatrix, error) {
 	var bmKey string
 	if l.cache != nil {
 		ex := make([]features.Example, len(cases))
@@ -314,7 +314,7 @@ func (l *TroubleLocator) casesMatrix(ds *data.Dataset, cases []DispatchCase) (*m
 			return bm, nil
 		}
 	}
-	enc, err := encodeCases(ds, cases, l.Cfg.HistoryWeeks, l.cache)
+	enc, err := encodeCases(ds, ix, cases, l.Cfg.HistoryWeeks, l.cache)
 	if err != nil {
 		return nil, err
 	}
@@ -335,6 +335,14 @@ func (l *TroubleLocator) casesMatrix(ds *data.Dataset, cases []DispatchCase) (*m
 // chosen model, aligned with l.Dispositions. Basic ignores the line state
 // entirely and returns the priors.
 func (l *TroubleLocator) Posteriors(ds *data.Dataset, cases []DispatchCase, model LocatorModel) ([][]float64, error) {
+	return l.PosteriorsIx(ds, nil, cases, model)
+}
+
+// PosteriorsIx is Posteriors with a caller-supplied ticket index, for servers
+// that answer many dispatch cases against one dataset snapshot: the index is
+// an O(lines) build that would otherwise dominate a one-case request. A nil
+// ix builds it from ds.
+func (l *TroubleLocator) PosteriorsIx(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, model LocatorModel) ([][]float64, error) {
 	nd := len(l.Dispositions)
 	out := make([][]float64, len(cases))
 	if model == ModelBasic {
@@ -348,7 +356,7 @@ func (l *TroubleLocator) Posteriors(ds *data.Dataset, cases []DispatchCase, mode
 		return out, nil
 	}
 
-	bm, err := l.casesMatrix(ds, cases)
+	bm, err := l.casesMatrix(ds, ix, cases)
 	if err != nil {
 		return nil, err
 	}

@@ -312,6 +312,15 @@ func imputeAt(ds *data.Dataset, line data.LineID, week, histWeeks int, fallback 
 	dst[data.FLoopLength] = m.F[data.FLoopLength]
 }
 
+// WeekFallback is the imputation fallback every single-week encode at week
+// uses: the mean feature vector over that week's present records, which lines
+// with no usable history impute from. A change to any week-w cell can move it
+// and with it the encoding of every such line, so a caller that reuses week-w
+// encodes across data changes must check that it did not.
+func WeekFallback(ds *data.Dataset, week int) []float32 {
+	return fallbackVector(ds, []Example{{Week: week}})
+}
+
 // fallbackVector is the mean feature vector over the present records of the
 // examples' weeks.
 func fallbackVector(ds *data.Dataset, examples []Example) []float32 {

@@ -617,7 +617,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("line %d unknown to the store", req.Line))
 		return
 	}
-	post, err := loc.Posteriors(sn.DS, []core.DispatchCase{{Line: req.Line, Week: req.Week}}, model)
+	post, err := loc.PosteriorsIx(sn.DS, sn.Ix, []core.DispatchCase{{Line: req.Line, Week: req.Week}}, model)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -849,12 +849,12 @@ func (s *Server) probeAndSwap(old *Models, pred *core.TicketPredictor, loc *core
 			}
 			if loc != nil {
 				cases := []core.DispatchCase{{Line: examples[0].Line, Week: examples[0].Week}}
-				newPost, err := loc.Posteriors(sn.DS, cases, core.ModelCombined)
+				newPost, err := loc.PosteriorsIx(sn.DS, sn.Ix, cases, core.ModelCombined)
 				if err != nil {
 					return nil, fmt.Errorf("serve: reloaded locator cannot score the store: %w", err)
 				}
 				if old.Loc != nil && len(old.Loc.Dispositions) == len(loc.Dispositions) {
-					oldPost, err := old.Loc.Posteriors(sn.DS, cases, core.ModelCombined)
+					oldPost, err := old.Loc.PosteriorsIx(sn.DS, sn.Ix, cases, core.ModelCombined)
 					if err != nil {
 						return nil, fmt.Errorf("serve: probing current locator: %w", err)
 					}

@@ -384,6 +384,39 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 		ex = append(ex, features.Example{Line: data.LineID(line), Week: week})
 	}
 	const locLine = 7
+	// checkLocate compares the served locate answer with the cache-free
+	// locator on a freshly built ticket index over the server's snapshot.
+	checkLocate := func(tag string, url string, sn *Snapshot) {
+		t.Helper()
+		resp, body := postJSON(t, url+"/v1/locate", map[string]any{"line": locLine, "week": week})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s locate: %d %s", tag, resp.StatusCode, body["error"])
+		}
+		var disps []struct {
+			ID          int     `json:"id"`
+			Probability float64 `json:"probability"`
+		}
+		if err := json.Unmarshal(body["dispositions"], &disps); err != nil {
+			t.Fatal(err)
+		}
+		post, err := refLoc.Posteriors(sn.DS, []core.DispatchCase{{Line: locLine, Week: week}}, core.ModelCombined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPost := make(map[int]float64, len(refLoc.Dispositions))
+		for j, d := range refLoc.Dispositions {
+			wantPost[int(d)] = post[0][j]
+		}
+		if len(disps) != len(wantPost) {
+			t.Fatalf("%s locate: %d dispositions, model has %d", tag, len(disps), len(wantPost))
+		}
+		for _, d := range disps {
+			if d.Probability != wantPost[d.ID] {
+				t.Errorf("%s locate disposition %d: served %v, cache-free model says %v", tag, d.ID, d.Probability, wantPost[d.ID])
+				break
+			}
+		}
+	}
 	var served [2][]predictionJSON
 	for i, url := range urls {
 		sn := stores[i].Snapshot()
@@ -428,34 +461,30 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 			}
 		}
 
-		resp, body = postJSON(t, url+"/v1/locate", map[string]any{"line": locLine, "week": week})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("server %d locate: %d %s", i, resp.StatusCode, body["error"])
-		}
-		var disps []struct {
-			ID          int     `json:"id"`
-			Probability float64 `json:"probability"`
-		}
-		if err := json.Unmarshal(body["dispositions"], &disps); err != nil {
+		checkLocate(fmt.Sprintf("server %d", i), url, sn)
+
+		// Locate answers from the snapshot's own ticket index: a delta with
+		// no tickets shares its base's index, one with tickets rebuilds it,
+		// and either way the answer must match a fresh index.
+		recs, _ := recordsFor(ds, week+1, week+1)
+		if _, err := stores[i].IngestTests(recs[:50]); err != nil {
 			t.Fatal(err)
 		}
-		post, err := refLoc.Posteriors(sn.DS, []core.DispatchCase{{Line: locLine, Week: week}}, core.ModelCombined)
-		if err != nil {
+		shared := stores[i].Snapshot()
+		if shared.Ix != sn.Ix {
+			t.Fatalf("server %d: a test-only delta rebuilt the ticket index", i)
+		}
+		checkLocate(fmt.Sprintf("server %d test-only delta", i), url, shared)
+		if _, err := stores[i].IngestTickets([]TicketRecord{{
+			ID: 1 << 30, Line: locLine, Day: data.SaturdayOf(week) - 2, Category: uint8(data.CatCustomerEdge),
+		}}); err != nil {
 			t.Fatal(err)
 		}
-		wantPost := make(map[int]float64, len(refLoc.Dispositions))
-		for j, d := range refLoc.Dispositions {
-			wantPost[int(d)] = post[0][j]
+		withTicket := stores[i].Snapshot()
+		if withTicket.Ix == shared.Ix {
+			t.Fatalf("server %d: a ticket delta kept its base's ticket index", i)
 		}
-		if len(disps) != len(wantPost) {
-			t.Fatalf("server %d locate: %d dispositions, model has %d", i, len(disps), len(wantPost))
-		}
-		for _, d := range disps {
-			if d.Probability != wantPost[d.ID] {
-				t.Errorf("server %d locate disposition %d: served %v, cache-free model says %v", i, d.ID, d.Probability, wantPost[d.ID])
-				break
-			}
-		}
+		checkLocate(fmt.Sprintf("server %d ticket delta", i), url, withTicket)
 	}
 	// The servers hold different data, so a pass above proves each answered
 	// from its own store.

@@ -625,9 +625,12 @@ type Snapshot struct {
 	linesAt [data.Weeks][]data.LineID
 
 	// tabMu guards tabs, the per-(models, week) score-table cache built
-	// lazily by the scoring fast path (see scoretable.go).
+	// lazily by the scoring fast path (see scoretable.go), and carry, the
+	// tables a delta-applied snapshot inherited from its base and has not
+	// read yet; a read moves its table from carry into tabs.
 	tabMu sync.Mutex
 	tabs  map[tabKey]*weekTable
+	carry map[tabKey]*weekTable
 }
 
 // LinesAt returns the lines with a test record at the given week, ascending
@@ -736,7 +739,9 @@ func deltasFit(recs []deltaRecord, numLines int) bool {
 // same last-writer-wins state a full rebuild would copy) into copy-on-write
 // chunks, flipped presence rows and per-week line lists are copied once per
 // week, attribute slices are copied only if a value actually changed, and
-// the ticket slice and index are shared unless a delta added tickets.
+// the ticket slice and index are shared unless a delta added tickets. The
+// base's week score tables carry over as far as the deltas leave them valid
+// (see carryTables).
 func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (*Snapshot, error) {
 	if m := s.m; m != nil {
 		defer func(t0 time.Time) {
@@ -771,6 +776,7 @@ func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (
 		attrsShared   = true           // ProfileOf/DSLAMOf/UsageOf still alias base
 		dslamChanged  = false
 		newLines      []data.LineID
+		changed       tableDelta
 	)
 
 	// Group touched cells by shard so each shard is read-locked once.
@@ -780,6 +786,7 @@ func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (
 			si := int(uint32(c.line) & s.mask)
 			byShard[si] = append(byShard[si], c)
 		}
+		changed.cells = append(changed.cells, recs[i].cells...)
 	}
 	for si, cells := range byShard {
 		sh := &s.shards[si]
@@ -817,6 +824,7 @@ func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (
 					dslamChanged = true
 				}
 				ds.ProfileOf[c.line], ds.DSLAMOf[c.line], ds.UsageOf[c.line] = ls.profile, ls.dslam, ls.usage
+				changed.attrs = append(changed.attrs, c.line)
 			}
 			if !containsLine(sn.Lines, c.line) && !containsLineLinear(newLines, c.line) {
 				newLines = append(newLines, c.line)
@@ -881,6 +889,8 @@ func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (
 		ds.Tickets = merged
 		sn.Ix = data.NewTicketIndex(&ds)
 	}
+	changed.tickets = added
+	sn.carry = carryTables(base, sn, changed)
 	return sn, nil
 }
 

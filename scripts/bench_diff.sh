@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Perf regression gate: rerun the compiled-scoring, serve-score, WAL-ingest,
-# replica-catch-up, drift-monitor and shadow-score benchmarks best-of-3
+# Perf regression gate: rerun the compiled-scoring, serve-score,
+# score-after-ingest, WAL-ingest, replica-catch-up, drift-monitor and
+# shadow-score benchmarks best-of-3
 # (-count=3; benchjson keeps each benchmark's fastest
 # run, since noise only ever adds time), convert with benchjson, and compare
 # ns/op and allocs/op against the committed BENCH_ml.json via benchdiff.
@@ -11,6 +12,9 @@
 # regression worth failing a build for. The alloc axis additionally
 # tolerates two allocs/op of absolute slack so the gate tracks the serving
 # path's zero-alloc contract without flaking.
+# The benchmarks run at GOMAXPROCS=1, as BENCH_ml.json was recorded: on a
+# multi-CPU host `go test` would otherwise suffix every name with -N and the
+# gate would find nothing to compare.
 # Used by `make bench-diff` (part of `make check`). Override the margin with
 # BENCH_DIFF_THRESHOLD and the repeat count with BENCH_DIFF_COUNT.
 set -euo pipefail
@@ -18,12 +22,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-MATCH='ScoreCompiled|ServeScore|IngestWAL|ReplicaCatchup|DriftMonitors|ShadowScore'
+MATCH='ScoreCompiled|ServeScore|ScoreAfterIngest|IngestWAL|ReplicaCatchup|DriftMonitors|ShadowScore'
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 echo "bench-diff: running benchmarks matching '$MATCH' (best of ${BENCH_DIFF_COUNT:-3})..."
-"$GO" test -run '^$' -bench "$MATCH" -benchmem -count "${BENCH_DIFF_COUNT:-3}" . 2>&1 \
+GOMAXPROCS=1 "$GO" test -run '^$' -bench "$MATCH" -benchmem -count "${BENCH_DIFF_COUNT:-3}" . 2>&1 \
 	| tee "$WORK/bench.txt" \
 	| "$GO" run ./cmd/benchjson > "$WORK/new.json"
 
