@@ -2,20 +2,27 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-repeat race bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
+.PHONY: all check fmt build vet test test-repeat race bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
 
 all: build vet test
 
-# The full gate: compile, static checks, tests (plus a repeat-count pass
-# over the serving subsystem to catch leaked process-global state), the
-# race detector over the parallel hot paths, a one-iteration pass over
-# every benchmark so the bench code itself cannot rot, the perf-regression
-# diff against the committed baseline, end-to-end smokes of the daemon, of
-# the sharded fleet, and of a kill -9/restart over the write-ahead log, a
-# short fuzz pass over the API decoders, the chaos smoke (daemon under
-# injected faults), and the drift smoke (the monitor/retrain/promote loop
-# end to end over HTTP).
-check: build vet test test-repeat race bench-smoke bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke
+# The full gate: formatting, compile, static checks, tests (plus a
+# repeat-count pass over the serving subsystem to catch leaked
+# process-global state), the race detector over the parallel hot paths, a
+# one-iteration pass over every benchmark so the bench code itself cannot
+# rot, the perf-regression diff against the committed baseline, end-to-end
+# smokes of the daemon, of the sharded fleet, and of a kill -9/restart over
+# the write-ahead log, a short fuzz pass over the API decoders, the chaos
+# smoke (daemon under injected faults), and the drift smoke (the
+# monitor/retrain/promote loop end to end over HTTP).
+check: fmt build vet test test-repeat race bench-smoke bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke
+
+# Format gate: fail when gofmt would change any tracked Go file. It only
+# lists files, never rewrites them; run `gofmt -w` on what it prints.
+fmt:
+	@files="$$(git ls-files '*.go')" && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	out="$$(gofmt -l $$files)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -79,7 +86,8 @@ serve-smoke:
 # End-to-end smoke of the sharded fleet: a gateway over two nevermindd
 # shards, fed the same batch as a bare single daemon, must answer /v1/rank
 # and /v1/score identically (modulo the summed version clock) and drain
-# cleanly on SIGTERM.
+# cleanly on SIGTERM. A second phase runs `nevermindgw -pipeline` over one
+# shard beside a bare daemon's pipeline; their week lines must match.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

@@ -22,12 +22,12 @@ import (
 
 func main() {
 	var (
-		lines  = flag.Int("lines", 20000, "subscriber population to simulate")
-		seed   = flag.Uint64("seed", 42, "simulation and pipeline seed")
-		rounds = flag.Int("rounds", 250, "predictor boosting rounds (paper: 800)")
-		locR   = flag.Int("locrounds", 80, "locator boosting rounds (paper: 200)")
-		exp    = flag.String("exp", "all", "experiment to run: fig4|fig6|fig7|fig8|fig9|table5|notonsite|locator|deploy|atds|table1|trend|all")
-		work   = flag.Int("workers", 0, "worker pool size for the pipelines (0 = all CPUs, 1 = sequential; results identical)")
+		lines   = flag.Int("lines", 20000, "subscriber population to simulate")
+		seed    = flag.Uint64("seed", 42, "simulation and pipeline seed")
+		rounds  = flag.Int("rounds", 250, "predictor boosting rounds (paper: 800)")
+		locR    = flag.Int("locrounds", 80, "locator boosting rounds (paper: 200)")
+		exp     = flag.String("exp", "all", "experiment to run: fig4|fig6|fig7|fig8|fig9|table5|notonsite|locator|deploy|atds|table1|trend|all")
+		work    = flag.Int("workers", 0, "worker pool size for the pipelines (0 = all CPUs, 1 = sequential; results identical)")
 		noCache = flag.Bool("nocache", false, "disable the cross-experiment encode/bin cache (results identical, just slower)")
 	)
 	flag.Parse()

@@ -139,16 +139,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nevermindgw: CHAOS armed (seed %d)\n", *chaosSeed)
 	}
 
+	// Shard calls and the pipeline's weekly operations back off alike.
+	retry := serve.RetryConfig{
+		MaxAttempts: *retryAttempts,
+		BaseDelay:   *retryBase,
+		MaxDelay:    *retryMax,
+		Seed:        *seed,
+	}
 	gw, err := fleet.NewGateway(fleet.Config{
 		Shards:        shards,
 		Replicas:      *replicas,
 		MaxReplicaLag: *maxLag,
-		Retry: serve.RetryConfig{
-			MaxAttempts: *retryAttempts,
-			BaseDelay:   *retryBase,
-			MaxDelay:    *retryMax,
-			Seed:        *seed,
-		},
+		Retry:         retry,
 		ProbeInterval: *probe,
 		DrainTimeout:  *drain,
 		Hooks:         hooks,
@@ -183,15 +185,10 @@ func main() {
 		if inj != nil {
 			feed = inj.WrapSource(feed)
 		}
-		pl, err := fleet.NewPipeline(gw, fleet.PipelineConfig{
+		pl, err := fleet.NewPipeline(gw, serve.PipelineConfig{
 			Source: feed,
 			Tick:   *tick,
-			Retry: serve.RetryConfig{
-				MaxAttempts: *retryAttempts,
-				BaseDelay:   *retryBase,
-				MaxDelay:    *retryMax,
-				Seed:        *seed,
-			},
+			Retry:  retry,
 			OnWeek: func(r serve.WeekReport) {
 				fmt.Fprintf(os.Stderr,
 					"nevermindgw: week %d: ingested %d tests %d tickets; submitted %d predictions; worked %d customer + %d predicted (%d expired, %d pending, %d retries)\n",

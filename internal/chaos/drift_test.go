@@ -152,7 +152,7 @@ func runDriftChaos(t *testing.T, cfg driftChaosCfg) driftChaosRes {
 
 	res := driftChaosRes{recoveredWeek: recoveredWeek}
 	for {
-		ok, err := pl.Step()
+		ok, err := pl.Step(t.Context())
 		if err != nil {
 			t.Fatalf("pipeline died: %v", err)
 		}

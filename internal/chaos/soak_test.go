@@ -203,7 +203,7 @@ func runSoak(t *testing.T, cfg soakConfig) soakResult {
 	}
 
 	for {
-		ok, err := pl.Step()
+		ok, err := pl.Step(t.Context())
 		if err != nil {
 			t.Fatalf("pipeline died mid-soak: %v", err)
 		}

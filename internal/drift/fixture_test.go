@@ -213,7 +213,7 @@ func runDriftSoak(t *testing.T, cfg soakCfg) soakRes {
 
 	res := soakRes{promoteTick: -1}
 	for {
-		ok, err := pl.Step()
+		ok, err := pl.Step(t.Context())
 		if err != nil {
 			t.Fatalf("pipeline died mid-soak: %v", err)
 		}
@@ -232,7 +232,7 @@ func runDriftSoak(t *testing.T, cfg soakCfg) soakRes {
 			res.promoteTick = len(res.modelIDs) - 1
 		}
 		if cfg.withControl {
-			cok, cerr := ctlPl.Step()
+			cok, cerr := ctlPl.Step(t.Context())
 			if cerr != nil || !cok {
 				t.Fatalf("control pipeline desynced at week %d: ok=%v err=%v", week, cok, cerr)
 			}
@@ -244,7 +244,7 @@ func runDriftSoak(t *testing.T, cfg soakCfg) soakRes {
 		}
 	}
 	if cfg.withControl {
-		if ok, _ := ctlPl.Step(); ok {
+		if ok, _ := ctlPl.Step(t.Context()); ok {
 			t.Fatal("control pipeline outlived the main run")
 		}
 	}

@@ -322,15 +322,19 @@ func WeekFallback(ds *data.Dataset, week int) []float32 {
 }
 
 // fallbackVector is the mean feature vector over the present records of the
-// examples' weeks.
+// examples' weeks. Weeks are summed in ascending order, so the float64 sums
+// (and the encode built on them) do not depend on the examples' order.
 func fallbackVector(ds *data.Dataset, examples []Example) []float32 {
-	weeks := map[int]bool{}
+	var weeks [data.Weeks]bool
 	for _, ex := range examples {
 		weeks[ex.Week] = true
 	}
 	var sum [data.NumBasicFeatures]float64
 	var cnt float64
-	for w := range weeks {
+	for w, used := range weeks {
+		if !used {
+			continue
+		}
 		for l := 0; l < ds.NumLines; l++ {
 			m := ds.At(data.LineID(l), w)
 			if m.Missing {

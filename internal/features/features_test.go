@@ -438,6 +438,28 @@ func TestEncodeDeterministicProperty(t *testing.T) {
 	}
 }
 
+// The imputation fallback of a multi-week encode sums its weeks in ascending
+// order, whatever order the examples name them in. The crafted values make
+// float64 addition order visible: weeks 10, 11, 12 in order sum to 0, while
+// two of the six orders (the 1 added after the large values cancel) give 1.
+func TestFallbackSumsWeeksInOrder(t *testing.T) {
+	ds := &data.Dataset{NumLines: 1, Measurements: make([]data.Measurement, data.Weeks)}
+	for w, v := range map[int]float32{10: 1e17, 11: 1, 12: -1e17} {
+		ds.At(0, w).F[0] = v
+	}
+	for _, weeks := range [][]int{{10, 11, 12}, {12, 10, 11}, {11, 12, 10}} {
+		ex := make([]Example, len(weeks))
+		for i, w := range weeks {
+			ex[i] = Example{Week: w}
+		}
+		for i := 0; i < 200; i++ {
+			if got := fallbackVector(ds, ex)[0]; got != 0 {
+				t.Fatalf("weeks %v call %d: fallback F[0] = %g, want 0 (ascending-week sum)", weeks, i, got)
+			}
+		}
+	}
+}
+
 // Property: group labels partition the columns and every column belongs to
 // a named group.
 func TestGroupsPartitionColumns(t *testing.T) {

@@ -84,21 +84,13 @@ func newShardClient(name, base string, index int, retry serve.RetryConfig, trans
 		base:  base,
 		index: index,
 		hc:    &http.Client{Transport: transport},
-		retry: retry,
+		retry: retry.WithDefaults(),
 		sleep: sleep,
 	}
 }
 
 // Name returns the shard's ring name.
 func (c *ShardClient) Name() string { return c.name }
-
-// maxAttempts mirrors the pipeline's default attempt budget.
-func (c *ShardClient) maxAttempts() int {
-	if c.retry.MaxAttempts > 0 {
-		return c.retry.MaxAttempts
-	}
-	return 6
-}
 
 // retryable reports whether a shard response asks to be retried rather than
 // relayed: only the admission-control load shed does (503 + Retry-After).
@@ -124,7 +116,7 @@ func (c *ShardClient) Do(ctx context.Context, op, method, path, contentType stri
 			lastShed = resp
 			lastErr = fmt.Errorf("load shed (503, Retry-After %s)", resp.RetryAfter)
 		}
-		if attempt >= c.maxAttempts() || ctx.Err() != nil {
+		if attempt >= c.retry.MaxAttempts || ctx.Err() != nil {
 			if lastShed != nil && err == nil {
 				// The shard is alive but shedding; its last answer is more
 				// honest than a synthesized gateway error.

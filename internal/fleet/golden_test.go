@@ -35,7 +35,7 @@ func TestFleetGoldenEndToEndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	pl, err := fleet.NewPipeline(tf.gw, fleet.PipelineConfig{
+	pl, err := fleet.NewPipeline(tf.gw, serve.PipelineConfig{
 		Source: serve.SimFeed(src),
 		Sleep:  func(time.Duration) {},
 		OnWeek: func(r serve.WeekReport) {
@@ -132,7 +132,7 @@ func TestFleetPipelineTwoShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	weeks := 0
-	pl, err := fleet.NewPipeline(tf.gw, fleet.PipelineConfig{
+	pl, err := fleet.NewPipeline(tf.gw, serve.PipelineConfig{
 		Source: serve.SimFeed(src),
 		Sleep:  func(time.Duration) {},
 		OnWeek: func(r serve.WeekReport) {

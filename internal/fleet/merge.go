@@ -132,9 +132,9 @@ func (h rankHeap) Less(a, b int) bool {
 	}
 	return h[a].line < h[b].line
 }
-func (h rankHeap) Swap(a, b int)   { h[a], h[b] = h[b], h[a] }
-func (h *rankHeap) Push(x any)     { *h = append(*h, x.(*rankCursor)) }
-func (h *rankHeap) Pop() any       { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h rankHeap) Swap(a, b int)     { h[a], h[b] = h[b], h[a] }
+func (h *rankHeap) Push(x any)       { *h = append(*h, x.(*rankCursor)) }
+func (h *rankHeap) Pop() any         { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h rankHeap) peek() *rankCursor { return h[0] }
 
 // mergeRank streams the top n fragments from the per-shard lists into buf,

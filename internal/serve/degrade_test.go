@@ -97,7 +97,7 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 		}
 		var runErr error
 		for {
-			ok, err := pl.Step()
+			ok, err := pl.Step(t.Context())
 			if err != nil {
 				runErr = err
 				break

@@ -65,3 +65,8 @@ var ErrBadBatch = errors.New("bad batch")
 
 // IsBadBatch reports whether err is a batch-validation rejection.
 func IsBadBatch(err error) bool { return errors.Is(err, ErrBadBatch) }
+
+// ErrStale is a pipeline backend's "not caught up yet" (Backend.WaitFresh):
+// a snapshot rebuild failed or lags the ingest. The pipeline backs off and
+// asks again, so a ranking never runs over partial data.
+var ErrStale = errors.New("snapshot stale after ingest")

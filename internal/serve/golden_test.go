@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,23 @@ func TestGoldenEndToEndReplay(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("end-to-end replay diverged from golden:\n%s", diffLines(string(want), got))
 	}
+}
+
+// rankOrder returns prediction indices best-first (score desc, line asc) —
+// the same order /v1/rank serves.
+func rankOrder(preds []core.Prediction) []int {
+	order := make([]int, len(preds))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		pa, pb := preds[order[a]], preds[order[b]]
+		if pa.Score != pb.Score {
+			return pa.Score > pb.Score
+		}
+		return pa.Line < pb.Line
+	})
+	return order
 }
 
 // f64bits renders a float64 as value plus exact bit pattern, so goldens

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"nevermind/internal/atds"
-	"nevermind/internal/core"
 	"nevermind/internal/data"
 	"nevermind/internal/obs"
 	"nevermind/internal/rng"
@@ -58,7 +56,8 @@ type RetryConfig struct {
 	Seed uint64
 }
 
-func (r RetryConfig) withDefaults() RetryConfig {
+// WithDefaults fills the zero fields with the defaults documented above.
+func (r RetryConfig) WithDefaults() RetryConfig {
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 6
 	}
@@ -71,9 +70,12 @@ func (r RetryConfig) withDefaults() RetryConfig {
 	return r
 }
 
-// backoffFor returns the jittered exponential delay for the given attempt
-// (1-based): min(Base<<(attempt-1), Max) scaled into [1/2, 1).
-func (r RetryConfig) backoffFor(op string, week, attempt int) time.Duration {
+// Backoff returns a defaulted config's jittered exponential delay for the
+// given attempt (1-based) of operation op on key (the pipeline's week):
+// min(Base<<(attempt-1), Max) scaled into [1/2, 1). The fleet gateway's
+// shard client backs off with it too, so the whole system follows one
+// policy and replays deterministically from one seed.
+func (r RetryConfig) Backoff(op string, key, attempt int) time.Duration {
 	d := r.BaseDelay << uint(attempt-1)
 	if d > r.MaxDelay || d <= 0 { // <= 0 guards shift overflow
 		d = r.MaxDelay
@@ -82,16 +84,8 @@ func (r RetryConfig) backoffFor(op string, week, attempt int) time.Duration {
 	for _, c := range op {
 		oph = oph*131 + uint64(c)
 	}
-	j := rng.Derive(r.Seed, oph, uint64(week), uint64(attempt)).Float64()
+	j := rng.Derive(r.Seed, oph, uint64(key), uint64(attempt)).Float64()
 	return d/2 + time.Duration(float64(d/2)*j)
-}
-
-// Backoff exposes the jittered schedule to other retry loops (the fleet
-// gateway's shard client) so the whole system backs off with one policy
-// and replays deterministically from one seed. The defaulting mirrors what
-// the pipeline itself applies.
-func (r RetryConfig) Backoff(op string, key, attempt int) time.Duration {
-	return r.withDefaults().backoffFor(op, key, attempt)
 }
 
 // RetryEvent describes one failed attempt the pipeline is about to back off
@@ -123,7 +117,8 @@ type PipelineConfig struct {
 	// OnSnapshot, when set, observes each newly completed week with the
 	// fresh snapshot it was ranked from — the drift monitors' feed. It runs
 	// after the exactly-once guard, so a re-delivered or replayed week is
-	// never observed twice.
+	// never observed twice. Only the daemon's own store has a snapshot to
+	// observe; NewPipelineOver refuses it.
 	OnSnapshot func(sn *Snapshot, week int)
 	// OnWeek, when set, observes each completed week.
 	OnWeek func(WeekReport)
@@ -144,37 +139,82 @@ type WeekReport struct {
 	Stats           atds.Stats
 }
 
-// Pipeline is the weekly loop of §3.2 run against the live store: every
-// tick it pulls the next week of line tests from the source, ingests them,
-// ranks the population with the current model generation, submits the
-// budgeted TopN into the ATDS queue alongside the week's customer tickets,
-// advances the queue through the seven days, and accumulates outcome stats.
+// Backend is the store the weekly loop drives: the daemon's own (NewPipeline)
+// or a sharded fleet behind its gateway (fleet.NewPipeline). Errors follow
+// the pipeline's taxonomy: ErrBadBatch makes it pull the week again, a
+// Transient error makes it repeat the operation after backoff, and anything
+// else stops the loop.
+type Backend interface {
+	// Ingest applies one delivered week. On error nothing is applied, so the
+	// same batch may be sent again (records overwrite per (line, week) and
+	// tickets dedup).
+	Ingest(ctx context.Context, batch *sim.Batch) (Ingested, error)
+	// WaitFresh returns ErrStale until the backend ranks over every ingest
+	// up to version, then the week's ranking inputs.
+	WaitFresh(ctx context.Context, week int, version uint64) (Fresh, error)
+}
+
+// Ingested is what a backend applied of one weekly batch, and the store
+// version a ranking must reach to include it.
+type Ingested struct {
+	Tests, Tickets int
+	Version        uint64
+}
+
+// Fresh is a backend caught up with a week's ingest.
+type Fresh struct {
+	// GridLines is the width of the line-id grid; it sizes a default queue.
+	GridLines int
+	// TopN returns the week's budgeted ranking, best first. The pipeline
+	// calls it only for a week it dispatches.
+	TopN func() ([]data.LineID, error)
+	// snapshot is the daemon's fresh snapshot, the one OnSnapshot observes.
+	snapshot *Snapshot
+}
+
+// Pipeline is the weekly loop of §3.2: every tick it pulls the next week of
+// line tests from the source, ingests them into the backend, ranks the
+// population with the current model generation, submits the budgeted TopN
+// into the ATDS queue alongside the week's customer tickets, advances the
+// queue through the seven days, and accumulates outcome stats.
 //
 // The loop is built to survive a misbehaving feed: transient pull and
 // ingest errors retry with bounded exponential backoff, a batch that fails
-// validation is discarded and the week re-pulled, and a stale snapshot
-// (failed rebuild) is retried until fresh — so a ranking never runs over
-// partial data. Only an error that persists through the whole attempt
-// budget, or one not marked transient, stops the loop; each week is
-// dispatched into ATDS exactly once.
+// validation is discarded and the week re-pulled, and a stale backend is
+// retried until fresh — so a ranking never runs over partial data. Only an
+// error that persists through the whole attempt budget, or one not marked
+// transient, stops the loop; each week is dispatched into ATDS exactly once.
 type Pipeline struct {
-	srv       *Server
+	be        Backend
+	m         *metrics // the daemon's stage spans and pipeline series; nil over a fleet
 	cfg       PipelineConfig
 	total     atds.Stats
 	lastWeek  int // last week dispatched into ATDS (exactly-once guard)
 	haveWeeks bool
 }
 
-// NewPipeline binds a pipeline to a server.
+// NewPipeline binds a pipeline to a server's store.
 func NewPipeline(srv *Server, cfg PipelineConfig) (*Pipeline, error) {
+	return newPipeline(storeBackend{srv}, srv.m, cfg)
+}
+
+// NewPipelineOver binds a pipeline to another backend, feeding no metrics.
+func NewPipelineOver(be Backend, cfg PipelineConfig) (*Pipeline, error) {
+	if cfg.OnSnapshot != nil {
+		return nil, fmt.Errorf("serve: pipeline backend has no local snapshot for OnSnapshot")
+	}
+	return newPipeline(be, nil, cfg)
+}
+
+func newPipeline(be Backend, m *metrics, cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("serve: pipeline needs a source")
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
+	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	return &Pipeline{srv: srv, cfg: cfg}, nil
+	return &Pipeline{be: be, m: m, cfg: cfg}, nil
 }
 
 // Totals returns the outcome stats accumulated across all completed weeks.
@@ -192,7 +232,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := p.Step(); err != nil {
+		if _, err := p.Step(ctx); err != nil {
 			return err
 		}
 		if tick != nil && p.cfg.Source.Remaining() > 0 {
@@ -206,10 +246,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	return nil
 }
 
-// errStaleSnapshot is the retryable "rebuild failed, still serving the old
-// version" condition the snapshot-refresh loop spins on.
-var errStaleSnapshot = errors.New("snapshot stale after ingest")
-
 // retry records a failed attempt, backs off, and reports whether the budget
 // still has room. attempt is the week's running attempt counter.
 func (p *Pipeline) retry(rep *WeekReport, op string, week int, attempt *int, cause error) bool {
@@ -217,10 +253,12 @@ func (p *Pipeline) retry(rep *WeekReport, op string, week int, attempt *int, cau
 	if *attempt >= p.cfg.Retry.MaxAttempts {
 		return false
 	}
-	d := p.cfg.Retry.backoffFor(op, week, *attempt)
+	d := p.cfg.Retry.Backoff(op, week, *attempt)
 	rep.Retries++
-	p.srv.m.pipelineRetries.Add(1)
-	p.srv.m.retriesByOp.With(op).Add(1)
+	if p.m != nil {
+		p.m.pipelineRetries.Add(1)
+		p.m.retriesByOp.With(op).Add(1)
+	}
 	if p.cfg.OnRetry != nil {
 		p.cfg.OnRetry(RetryEvent{Week: week, Op: op, Attempt: *attempt, Err: cause, Backoff: d})
 	}
@@ -239,9 +277,12 @@ type stageSpan struct {
 	done bool
 }
 
-// beginStage opens a span for one execution of a pipeline stage.
-func (p *Pipeline) beginStage(stage string, week int) *stageSpan {
-	m := p.srv.m
+// beginStage opens a span for one execution of a pipeline stage. Without
+// daemon metrics (a pipeline over a fleet) the span records nothing.
+func (m *metrics) beginStage(stage string, week int) *stageSpan {
+	if m == nil {
+		return &stageSpan{done: true}
+	}
 	return &stageSpan{
 		span: m.tracer.Start(stage, week),
 		obsv: m.stageDur.With(stage).Observe,
@@ -260,23 +301,23 @@ func (ss *stageSpan) end() {
 
 // Step runs one tick: ingest the next week, rank, dispatch, advance. It
 // returns ok == false once the source is exhausted.
-func (p *Pipeline) Step() (ok bool, err error) {
+func (p *Pipeline) Step(ctx context.Context) (ok bool, err error) {
 	var rep WeekReport
 	var batch sim.Batch
+	var in Ingested
 	attempt := 0
 
 	// Pull + ingest with a shared bounded attempt budget. Error classes:
 	//   - transient pull error: nothing was delivered; back off, re-pull.
-	//   - bad batch (ErrBadBatch): the store rejected the delivery whole;
+	//   - bad batch (ErrBadBatch): the backend rejected the delivery whole;
 	//     back off, re-pull — the feed re-serves the week.
 	//   - transient ingest error: the validated batch hit an injected or
-	//     real infrastructure fault before any state change; back off and
-	//     re-ingest the same batch (ingest is idempotent: test records
-	//     overwrite per (line, week), tickets dedup).
+	//     real infrastructure fault (a shard down, a shed) before any state
+	//     change; back off and re-ingest the same batch.
 	//   - anything else is terminal for the loop.
 pull:
 	for {
-		psp := p.beginStage("pull", rep.Week)
+		psp := p.m.beginStage("pull", rep.Week)
 		b, more, perr := p.cfg.Source.Next()
 		if !more {
 			psp.end()
@@ -297,8 +338,9 @@ pull:
 			continue
 		}
 		for {
-			isp := p.beginStage("ingest", batch.Week)
-			ierr := p.ingest(&batch, &rep)
+			isp := p.m.beginStage("ingest", batch.Week)
+			var ierr error
+			in, ierr = p.be.Ingest(ctx, &batch)
 			isp.span.Attempt(attempt + 1).Fail(ierr)
 			isp.end()
 			if ierr == nil {
@@ -322,33 +364,32 @@ pull:
 			}
 		}
 	}
-	p.srv.m.ingestedTests.Add(int64(rep.IngestedTests))
-	p.srv.m.ingestedTickets.Add(int64(rep.IngestedTickets))
+	rep.IngestedTests, rep.IngestedTickets = in.Tests, in.Tickets
 
-	// The ranking must see this week's data: a snapshot older than the
-	// store version after our ingest means a rebuild failed (the API keeps
-	// serving the stale one; the pipeline retries until fresh).
-	wantVersion := p.srv.Store().Version()
-	var sn *Snapshot
+	// The ranking must see this week's data: until the backend has caught
+	// up with the ingest's version (a failed rebuild leaves the API serving
+	// the old snapshot), the pipeline backs off and asks again.
+	var fr Fresh
 	for {
-		ssp := p.beginStage("snapshot", batch.Week)
-		sn = p.srv.Store().Snapshot()
-		if sn != nil && sn.Version >= wantVersion {
+		ssp := p.m.beginStage("snapshot", batch.Week)
+		if fr, err = p.be.WaitFresh(ctx, batch.Week, in.Version); err == nil {
 			ssp.end()
 			break
 		}
-		// Degraded: the rebuild failed and the store is still serving the
-		// pre-ingest snapshot; this attempt ran against stale state.
-		ssp.span.Attempt(attempt + 1).Fail(errStaleSnapshot).Degraded()
+		// Degraded: this attempt ran against stale state.
+		ssp.span.Attempt(attempt + 1).Fail(err).Degraded()
 		ssp.end()
-		if !p.retry(&rep, "snapshot", batch.Week, &attempt, errStaleSnapshot) {
+		if !errors.Is(err, ErrStale) && !IsTransient(err) {
+			return false, fmt.Errorf("serve: pipeline week %d rank: %w", batch.Week, err)
+		}
+		if !p.retry(&rep, "snapshot", batch.Week, &attempt, err) {
 			return false, fmt.Errorf("serve: pipeline week %d: %w after %d attempts",
-				batch.Week, errStaleSnapshot, attempt)
+				batch.Week, err, attempt)
 		}
 	}
 
 	if p.cfg.Queue == nil {
-		q, err := atds.NewQueue(atds.DefaultConfig(sn.DS.NumLines), data.SaturdayOf(batch.Week))
+		q, err := atds.NewQueue(atds.DefaultConfig(fr.GridLines), data.SaturdayOf(batch.Week))
 		if err != nil {
 			return false, err
 		}
@@ -362,36 +403,21 @@ pull:
 		return true, nil
 	}
 
-	// Saturday ranking run: budgeted TopN into the dispatch queue. The
-	// week's score table is shared with the HTTP handlers — when the API
-	// already ranked this (snapshot, week), the pipeline's run is a lookup.
-	models := p.srv.Models()
-	lines := sn.LinesAt(batch.Week)
-	if len(lines) > 0 {
-		scsp := p.beginStage("score", batch.Week)
-		tab, err := sn.scoreTable(models, batch.Week)
-		scsp.span.Fail(err)
-		scsp.end()
-		if err != nil {
-			return false, fmt.Errorf("serve: pipeline week %d rank: %w", batch.Week, err)
-		}
-		rksp := p.beginStage("rank", batch.Week)
-		ranked := tab.rankedLines(sn)
-		n := models.Pred.Cfg.BudgetN
-		if n > len(ranked) {
-			n = len(ranked)
-		}
-		for rank, l := range ranked[:n] {
-			p.cfg.Queue.Submit(l, atds.PriorityPredicted, rank)
-		}
-		rep.Submitted = n
-		rksp.end()
+	// Saturday ranking run: budgeted TopN into the dispatch queue.
+	top, err := fr.TopN()
+	if err != nil {
+		return false, fmt.Errorf("serve: pipeline week %d rank: %w", batch.Week, err)
 	}
+	for rank, l := range top {
+		p.cfg.Queue.Submit(l, atds.PriorityPredicted, rank)
+	}
+	rep.Submitted = len(top)
+
 	// The week's customer tickets contend for the same capacity and always
 	// win it (§3.2). The first batch also backfills the full ticket history
 	// for the time-since-ticket features; only tickets that actually arrived
 	// this week are new work for the queue.
-	dsp := p.beginStage("dispatch", batch.Week)
+	dsp := p.m.beginStage("dispatch", batch.Week)
 	weekStart := data.SaturdayOf(batch.Week) - 6
 	for _, t := range batch.Tickets {
 		if t.Day >= weekStart {
@@ -410,15 +436,16 @@ pull:
 	p.total.Add(rep.Stats)
 	dsp.end()
 
-	m := p.srv.m
-	m.pipelineTicks.Add(1)
-	m.pipelineWeek.Set(int64(batch.Week))
-	m.pipelineSubmitted.Add(int64(rep.Submitted))
-	m.pipelineWorked.Add(int64(rep.Stats.Predicted))
-	m.pipelineExpired.Add(int64(rep.Stats.ExpiredPredicted))
+	if m := p.m; m != nil {
+		m.pipelineTicks.Add(1)
+		m.pipelineWeek.Set(int64(batch.Week))
+		m.pipelineSubmitted.Add(int64(rep.Submitted))
+		m.pipelineWorked.Add(int64(rep.Stats.Predicted))
+		m.pipelineExpired.Add(int64(rep.Stats.ExpiredPredicted))
+	}
 
 	if p.cfg.OnSnapshot != nil {
-		p.cfg.OnSnapshot(sn, batch.Week)
+		p.cfg.OnSnapshot(fr.snapshot, batch.Week)
 	}
 	if p.cfg.OnWeek != nil {
 		p.cfg.OnWeek(rep)
@@ -426,44 +453,76 @@ pull:
 	return true, nil
 }
 
-// ingest applies one delivered batch through the same store path the HTTP
-// API uses. On any error the store is unchanged (validation rejects whole
-// batches; injected faults fire before mutation), so the caller may retry.
-func (p *Pipeline) ingest(batch *sim.Batch, rep *WeekReport) error {
-	tests := make([]TestRecord, len(batch.Tests))
+// IngestRequestFor renders one simulated week as the /v1/ingest request shape.
+func IngestRequestFor(batch *sim.Batch) IngestRequest {
+	req := IngestRequest{
+		Tests:   make([]TestRecord, len(batch.Tests)),
+		Tickets: make([]TicketRecord, len(batch.Tickets)),
+	}
 	for i, t := range batch.Tests {
-		tests[i] = TestRecord{
+		req.Tests[i] = TestRecord{
 			Line: t.M.Line, Week: t.M.Week, Missing: t.M.Missing, F: t.M.F[:],
 			Profile: t.Profile, DSLAM: t.DSLAM, Usage: t.Usage,
 		}
 	}
-	tickets := make([]TicketRecord, len(batch.Tickets))
 	for i, t := range batch.Tickets {
-		tickets[i] = TicketRecord{ID: t.ID, Line: t.Line, Day: t.Day, Category: uint8(t.Category)}
+		req.Tickets[i] = TicketRecord{ID: t.ID, Line: t.Line, Day: t.Day, Category: uint8(t.Category)}
 	}
-	var err error
-	if rep.IngestedTests, err = p.srv.Store().IngestTests(tests); err != nil {
-		return err
-	}
-	if rep.IngestedTickets, err = p.srv.Store().IngestTickets(tickets); err != nil {
-		return err
-	}
-	return nil
+	return req
 }
 
-// rankOrder returns prediction indices best-first (score desc, line asc) —
-// the same order /v1/rank serves.
-func rankOrder(preds []core.Prediction) []int {
-	order := make([]int, len(preds))
-	for i := range order {
-		order[i] = i
+// storeBackend is the daemon's own store, driven through the same ingest
+// path the HTTP API uses and ranked from the snapshot its handlers serve.
+type storeBackend struct{ srv *Server }
+
+// Ingest leaves the store unchanged on any error (validation rejects whole
+// batches; injected faults fire before mutation).
+func (b storeBackend) Ingest(_ context.Context, batch *sim.Batch) (Ingested, error) {
+	req, st := IngestRequestFor(batch), b.srv.Store()
+	tests, err := st.IngestTests(req.Tests)
+	if err != nil {
+		return Ingested{}, err
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := preds[order[a]], preds[order[b]]
-		if pa.Score != pb.Score {
-			return pa.Score > pb.Score
-		}
-		return pa.Line < pb.Line
-	})
-	return order
+	tickets, err := st.IngestTickets(req.Tickets)
+	if err != nil {
+		return Ingested{}, err
+	}
+	b.srv.m.ingestedTests.Add(int64(tests))
+	b.srv.m.ingestedTickets.Add(int64(tickets))
+	return Ingested{Tests: tests, Tickets: tickets, Version: st.Version()}, nil
+}
+
+// WaitFresh is stale while the snapshot trails version: a rebuild failed
+// and the store still serves the pre-ingest snapshot.
+func (b storeBackend) WaitFresh(_ context.Context, week int, version uint64) (Fresh, error) {
+	sn := b.srv.Store().Snapshot()
+	if sn == nil || sn.Version < version {
+		return Fresh{}, ErrStale
+	}
+	return Fresh{
+		GridLines: sn.DS.NumLines,
+		TopN:      func() ([]data.LineID, error) { return b.topN(sn, week) },
+		snapshot:  sn,
+	}, nil
+}
+
+// topN ranks the week's population and keeps the budget. The week's score
+// table is shared with the HTTP handlers — when the API already ranked this
+// (snapshot, week), the pipeline's run is a lookup.
+func (b storeBackend) topN(sn *Snapshot, week int) ([]data.LineID, error) {
+	if len(sn.LinesAt(week)) == 0 {
+		return nil, nil
+	}
+	m, models := b.srv.m, b.srv.Models()
+	scsp := m.beginStage("score", week)
+	tab, err := sn.scoreTable(models, week)
+	scsp.span.Fail(err)
+	scsp.end()
+	if err != nil {
+		return nil, err
+	}
+	rksp := m.beginStage("rank", week)
+	defer rksp.end()
+	ranked := tab.rankedLines(sn)
+	return ranked[:min(models.Pred.Cfg.BudgetN, len(ranked))], nil
 }

@@ -69,7 +69,7 @@ func TestPipelineRunsWeeks(t *testing.T) {
 	}
 
 	// The source is exhausted: another step is a no-op.
-	if ok, err := pl.Step(); ok || err != nil {
+	if ok, err := pl.Step(context.Background()); ok || err != nil {
 		t.Fatalf("step on exhausted source: %v, %v", ok, err)
 	}
 }

@@ -4,6 +4,8 @@
 # the reference, ingest the same batch into both sides over HTTP, and
 # require the gateway's /v1/rank to equal the single node's modulo the
 # version field (the fleet version is the sum of per-shard ingest clocks).
+# A second phase runs the weekly pipeline through `nevermindgw -pipeline`
+# over one shard and requires its week lines to equal a bare daemon's.
 # Used by `make fleet-smoke` (part of `make check`); needs curl and Go.
 set -euo pipefail
 
@@ -170,17 +172,66 @@ done
 wait "$GW_PID" || fail "gateway exited non-zero"
 grep -q 'drained' "$WORK/gateway.log" || fail "gateway log has no drain message"
 
-for pid in "$SINGLE_PID" "$S0_PID" "$S1_PID"; do
-    kill -TERM "$pid"
-done
-for pid in "$SINGLE_PID" "$S0_PID" "$S1_PID"; do
-    DEADLINE=$((SECONDS + 30))
-    while kill -0 "$pid" 2>/dev/null; do
-        [[ "$SECONDS" -lt "$DEADLINE" ]] || fail "daemon $pid did not exit within 30s of SIGTERM"
+# stop_all <pid>...: SIGTERM each process, then require a clean exit.
+stop_all() {
+    for pid in "$@"; do
+        kill -TERM "$pid"
+    done
+    for pid in "$@"; do
+        DEADLINE=$((SECONDS + 30))
+        while kill -0 "$pid" 2>/dev/null; do
+            [[ "$SECONDS" -lt "$DEADLINE" ]] || fail "process $pid did not exit within 30s of SIGTERM"
+            sleep 0.2
+        done
+        wait "$pid" || fail "process $pid exited non-zero"
+    done
+}
+stop_all "$SINGLE_PID" "$S0_PID" "$S1_PID"
+PIDS=()
+
+# Pipeline phase: the weekly loop through the gateway. `nevermindgw
+# -pipeline` drives a 1-shard fleet over the same simulated feed a bare
+# daemon's own pipeline replays; the two binaries run one loop over two
+# backends, so with the binary prefix removed their week and pipeline-done
+# lines must be identical.
+echo "fleet-smoke: pipeline phase"
+start_daemon pshard
+PSHARD_PID=${PIDS[-1]}
+PSHARD="$(daemon_addr pshard "$PSHARD_PID")"
+"$WORK/nevermindgw" -addr 127.0.0.1:0 -shard "s0=http://$PSHARD" -pipeline \
+    -lines 1200 -seed 7 -start-week 40 -end-week 42 >"$WORK/pgateway.log" 2>&1 &
+PGW_PID=$!
+PIDS+=("$PGW_PID")
+"$WORK/nevermindd" -addr 127.0.0.1:0 -lines 1200 -seed 7 -rounds 20 \
+    -start-week 40 -end-week 42 >"$WORK/pdaemon.log" 2>&1 &
+PD_PID=$!
+PIDS+=("$PD_PID")
+
+wait_done() { # $1 = log name, $2 = pid: wait for the pipeline's closing line
+    for _ in $(seq 1 600); do
+        grep -q 'pipeline done' "$WORK/$1.log" && return 0
+        grep -q ': pipeline: ' "$WORK/$1.log" && fail "$1 pipeline died"
+        kill -0 "$2" 2>/dev/null || fail "$1 exited before its pipeline finished"
         sleep 0.2
     done
-    wait "$pid" || fail "daemon $pid exited non-zero"
-done
+    fail "$1 pipeline never finished"
+}
+wait_done pgateway "$PGW_PID"
+wait_done pdaemon "$PD_PID"
+
+week_lines() { # $1 = log name: week and pipeline-done lines, prefix removed
+    sed -n 's/^nevermind[a-z]*: \(week [0-9]*: .*\|pipeline done: .*\)$/\1/p' "$WORK/$1.log"
+}
+WEEKS_GW="$(week_lines pgateway)"
+WEEKS_D="$(week_lines pdaemon)"
+N_WEEKS="$(grep -c '^week ' <<<"$WEEKS_GW" || true)"
+[[ "$N_WEEKS" -eq 3 ]] || fail "gateway pipeline logged $N_WEEKS weeks, want 3"
+if [[ "$WEEKS_GW" != "$WEEKS_D" ]]; then
+    diff <(echo "$WEEKS_D") <(echo "$WEEKS_GW") >&2 || true
+    fail "gateway pipeline lines diverged from the daemon's"
+fi
+echo "fleet-smoke: gateway pipeline matches the daemon's, week for week"
+stop_all "$PGW_PID" "$PD_PID" "$PSHARD_PID"
 PIDS=()
 
 echo "fleet-smoke: PASS"
