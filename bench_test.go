@@ -983,6 +983,47 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpoint measures one checkpoint write — the microbench behind
+// perfbench's wal.checkpoint_ms: stream a 16,000-line store holding weeks
+// 30-43 (every cell a full Table 2 vector) into a new file, fsync and
+// publish it. The file size on disk is reported as ckpt-bytes.
+func BenchmarkCheckpoint(b *testing.B) {
+	s := serve.NewStore(8)
+	recs := make([]serve.TestRecord, 0, 2000)
+	for w := 30; w <= 43; w++ {
+		for lo := 0; lo < 16000; lo += cap(recs) {
+			recs = recs[:0]
+			for l := lo; l < lo+cap(recs); l++ {
+				f := make([]float32, data.NumBasicFeatures)
+				for k := range f {
+					f[k] = float32((l*7919+w*104729+k*1299709)%100003) * 0.01
+				}
+				recs = append(recs, serve.TestRecord{
+					Line: data.LineID(l), Week: w, Missing: (l+w)%17 == 0, F: f,
+					DSLAM: int32(l % 50), Usage: 0.5,
+				})
+			}
+			if _, err := s.IngestTests(recs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, err := s.WriteCheckpoint(dir, 0); err != nil || v != s.Version() {
+			b.Fatalf("checkpoint at version %d (store %d): %v", v, s.Version(), err)
+		}
+	}
+	b.StopTimer()
+	cks, err := wal.Checkpoints(dir)
+	if err != nil || len(cks) != 1 {
+		b.Fatalf("checkpoints: %+v, %v", cks, err)
+	}
+	b.ReportMetric(float64(cks[0].Bytes), "ckpt-bytes")
+}
+
 // BenchmarkReplicaCatchup measures a follower's full bootstrap over real
 // HTTP: download the leader's checkpoint (version 50 of the same fixture
 // BenchmarkRecovery replays), restore it, and stream-apply the 50-record WAL

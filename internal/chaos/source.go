@@ -64,7 +64,7 @@ func (s *Source) Next() (sim.Batch, bool, error) {
 		switch {
 		case x < cfg.SourceError:
 			s.in.srcErrs.Add(1)
-			return sim.Batch{}, true, serve.Transient(fmt.Errorf("%w: week %d", errPullFault, s.cur.Week))
+			return sim.Batch{Week: s.cur.Week}, true, serve.Transient(fmt.Errorf("%w: week %d", errPullFault, s.cur.Week))
 		case x < cfg.SourceError+cfg.PartialBatch:
 			s.in.partials.Add(1)
 			return truncate(s.cur, r), true,

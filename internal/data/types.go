@@ -99,6 +99,24 @@ type Ticket struct {
 	Category TicketCategory
 }
 
+// TicketLess is the canonical total order on tickets: (Day, Line, ID,
+// Category). Day-major preserves the sorted-by-day contract every consumer
+// relies on; the full tie-break makes the order a function of the ticket
+// multiset alone, so serving snapshots and checkpoints sort identically
+// regardless of shard sweep order.
+func TicketLess(a, b Ticket) bool {
+	if a.Day != b.Day {
+		return a.Day < b.Day
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return a.Category < b.Category
+}
+
 // DispositionNote summarises one field dispatch (§3.3, information source 3):
 // which device was finally identified as the cause, when, and how long the
 // visit took. Disposition codes index the catalog in internal/faults; they

@@ -245,8 +245,9 @@ func (f *Follower) buildStore(ctx context.Context, floor uint64) (*serve.Store, 
 
 // restore fetches a checkpoint and seats it into the (empty) store. A 404
 // means the leader has never checkpointed: start from version 0. A download
-// that fails to decode walks back to the previous checkpoint (?before=V)
-// rather than failing the bootstrap outright.
+// that fails to load (which leaves the store empty) walks back to the
+// previous checkpoint (?before=V) rather than failing the bootstrap
+// outright.
 func (f *Follower) restore(ctx context.Context, st *serve.Store) error {
 	var before uint64
 	for attempt := 0; attempt < 3; attempt++ {
@@ -272,8 +273,7 @@ func (f *Follower) restore(ctx context.Context, st *serve.Store) error {
 			drain(resp)
 			return err
 		}
-		var state serve.StoreState
-		v, err := wal.ReadCheckpoint(resp.Body, &state)
+		_, err = st.ReadCheckpoint(resp.Body)
 		drain(resp)
 		if err != nil {
 			f.corrupt.Add(1)
@@ -286,9 +286,6 @@ func (f *Follower) restore(ctx context.Context, st *serve.Store) error {
 		}
 		if f.fetchDur != nil {
 			f.fetchDur.Observe(time.Since(t0))
-		}
-		if err := st.RestoreState(&state); err != nil {
-			return fmt.Errorf("replica: checkpoint %d: %w", v, err)
 		}
 		return nil
 	}

@@ -387,8 +387,7 @@ func TestSourceGoneAndRetention(t *testing.T) {
 	if r.status != http.StatusOK {
 		t.Fatalf("checkpoint: %d %.200s", r.status, r.body)
 	}
-	var state serve.StoreState
-	v, err := wal.ReadCheckpoint(bytes.NewReader(r.body), &state)
+	v, err := serve.NewStore(2).ReadCheckpoint(bytes.NewReader(r.body))
 	if err != nil {
 		t.Fatalf("served checkpoint undecodable: %v", err)
 	}

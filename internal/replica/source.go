@@ -168,7 +168,7 @@ func (s *Source) activeFollowers() int {
 }
 
 // handleCheckpoint serves the newest checkpoint file verbatim (the follower
-// decodes it with wal.ReadCheckpoint). ?before=V skips checkpoints at or
+// loads it with Store.ReadCheckpoint). ?before=V skips checkpoints at or
 // past V — the walk-back a follower uses when the newest one fails to
 // decode. 404 when none qualify: the follower then streams from version 0.
 func (s *Source) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -326,7 +326,8 @@ func openCheckpoint(path string) (*os.File, error) {
 
 // serveFile copies the file to the response and closes it. A copy error
 // means the client went away or the file was truncated mid-read; the
-// follower's decode (wal.ReadCheckpoint) catches either via the CRC.
+// follower's load (Store.ReadCheckpoint) catches either: a frame CRC or
+// the missing end frame.
 func serveFile(w http.ResponseWriter, f *os.File) {
 	defer f.Close()
 	_, _ = io.Copy(w, f)

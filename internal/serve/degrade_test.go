@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,9 +57,9 @@ func (f *flakySource) Next() (sim.Batch, bool, error) {
 	}
 	switch mode {
 	case failTransient:
-		return sim.Batch{}, true, Transient(errors.New("feed outage"))
+		return sim.Batch{Week: f.cur.Week}, true, Transient(errors.New("feed outage"))
 	case failTerminal:
-		return sim.Batch{}, true, errors.New("feed gone for good")
+		return sim.Batch{Week: f.cur.Week}, true, errors.New("feed gone for good")
 	case deliverCorrupt:
 		bad := *f.cur
 		bad.Tests = append([]sim.LineTest(nil), f.cur.Tests...)
@@ -129,6 +130,13 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 	if len(retries) != 3 {
 		t.Fatalf("observed %d retries, want 3", len(retries))
 	}
+	// Every retry names the week being pulled: a failed pull delivers no
+	// records, but it still names its week.
+	for i, want := range []int{40, 41, 41} {
+		if retries[i].Week != want {
+			t.Fatalf("retry %d (%s) names week %d, want %d: %+v", i, retries[i].Op, retries[i].Week, want, retries)
+		}
+	}
 	for i, r := range reports {
 		if r.Week != 40+i {
 			t.Fatalf("week %d dispatched out of order (or twice): %+v", r.Week, reports)
@@ -160,6 +168,9 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 	_, _, _, err = run([]sourceFault{failTerminal})
 	if err == nil || IsTransient(err) {
 		t.Fatalf("terminal fault survived: %v", err)
+	}
+	if !strings.Contains(err.Error(), "week 40 ") {
+		t.Fatalf("terminal error does not name week 40: %v", err)
 	}
 
 	// A fault that never clears exhausts the bounded budget rather than

@@ -158,23 +158,20 @@ func OpenDurability(store *Store, reg *obs.Registry, cfg DurabilityConfig) (*Dur
 	}
 	t0 := time.Now()
 
-	// Load the newest checkpoint that decodes cleanly; fall back one by one
+	// Load the newest checkpoint that loads cleanly; fall back one by one
 	// (a crash mid-checkpoint leaves at most a .tmp husk, but a corrupt
-	// final file must not strand the whole history).
+	// final file must not strand the whole history). A failed load leaves
+	// the store empty for the next attempt.
 	cks, err := wal.Checkpoints(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	for i := len(cks) - 1; i >= 0; i-- {
-		var st StoreState
-		v, err := wal.LoadCheckpoint(cks[i].Path, &st)
+		v, err := store.LoadCheckpoint(cks[i].Path)
 		if err != nil {
 			log.Printf("serve: durability: skipping checkpoint %s: %v", cks[i].Path, err)
 			d.recovery.SkippedCheckpoints++
 			continue
-		}
-		if err := store.RestoreState(&st); err != nil {
-			return nil, fmt.Errorf("serve: restore checkpoint %s: %w", cks[i].Path, err)
 		}
 		d.recovery.CheckpointVersion = v
 		break
@@ -289,7 +286,12 @@ func (d *Durability) checkpointLoop() {
 		case <-d.done:
 			return
 		case <-d.kick:
-			d.checkpoint()
+			// A kick can be queued while a checkpoint runs (the sink measures
+			// against the previous one), so re-check the cadence against
+			// the checkpoint now on disk.
+			if d.store.Version()-d.lastCkpt.Load() >= uint64(d.cfg.CheckpointEvery) {
+				d.checkpoint()
+			}
 		case <-tick:
 			if d.store.Version() > d.lastCkpt.Load() {
 				d.checkpoint()
@@ -298,22 +300,23 @@ func (d *Durability) checkpointLoop() {
 	}
 }
 
-// checkpoint dumps the store, publishes the checkpoint atomically, prunes
-// old ones, and truncates WAL segments covered by the OLDEST retained
-// checkpoint (so losing the newest file never loses history).
+// checkpoint streams the store into a new checkpoint when it has moved past
+// the last one, prunes old ones, and truncates WAL segments covered by the
+// OLDEST retained checkpoint (so losing the newest file never loses
+// history).
 func (d *Durability) checkpoint() {
 	t0 := time.Now()
-	st := d.store.ExportState()
-	if st.Version <= d.lastCkpt.Load() {
+	v, err := d.store.WriteCheckpoint(d.cfg.Dir, d.lastCkpt.Load())
+	if err != nil {
+		d.ckptFailures.Add(1)
+		log.Printf("serve: durability: checkpoint failed: %v", err)
 		return
 	}
-	if err := wal.WriteCheckpoint(d.cfg.Dir, st.Version, st); err != nil {
-		d.ckptFailures.Add(1)
-		log.Printf("serve: durability: checkpoint at version %d failed: %v", st.Version, err)
+	if v == 0 {
 		return
 	}
 	d.ckptTotal.Add(1)
-	d.lastCkpt.Store(st.Version)
+	d.lastCkpt.Store(v)
 	if d.ckptDur != nil {
 		d.ckptDur.Observe(time.Since(t0))
 	}
@@ -395,7 +398,7 @@ func (d *Durability) register(reg *obs.Registry) {
 	d.fsyncDur = reg.Histogram("nevermind_wal_fsync_duration_seconds",
 		"WAL fsync time.", nil)
 	d.ckptDur = reg.Histogram("nevermind_checkpoint_duration_seconds",
-		"Checkpoint export+write time.", nil)
+		"Checkpoint write time.", nil)
 	reg.CounterFunc("nevermind_checkpoints_total",
 		"Checkpoints written successfully.",
 		func() float64 { return float64(d.ckptTotal.Load()) })

@@ -4,7 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"nevermind/internal/data"
 	"nevermind/internal/obs"
@@ -293,6 +295,101 @@ func TestDurabilityWALTruncatedThroughOldestCheckpoint(t *testing.T) {
 	if s2.Version() != s1.Version() {
 		t.Fatalf("version %d, want %d", s2.Version(), s1.Version())
 	}
+	assertSameContent(t, want, s2.Snapshot())
+}
+
+// waitFor yields until cond holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestKickDuringCheckpointWritesOnce pins the version-driven cadence: ingest
+// that lands while a checkpoint is running queues a kick (the sink still
+// measures against the previous checkpoint), and that kick must not write a
+// second checkpoint until the store is CheckpointEvery versions past the one
+// just written. The test parks the checkpoint on a held shard lock, so every
+// step waits on an event, never on a sleep.
+func TestKickDuringCheckpointWritesOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore(8)
+	m := newMetrics()
+	s.setMetrics(m)
+	d, err := OpenDurability(s, nil, DurabilityConfig{
+		Dir: dir, Sync: wal.SyncNever, CheckpointEvery: 4, NoFinalCheckpoint: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lines 8k+1..8k+7 never hash to shard 0, so ingest proceeds while the
+	// test holds shard 0's lock.
+	ingest := func(i int) {
+		t.Helper()
+		var recs []TestRecord
+		for k := 0; k < 16; k++ {
+			line := data.LineID(8*k + 1 + (i+k)%7)
+			recs = append(recs, TestRecord{Line: line, Week: 30 + i%8, F: []float32{float32(i), float32(k)}})
+		}
+		if _, err := s.IngestTests(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		ingest(i)
+	}
+	held := &s.shards[0].mu
+	held.Lock()
+	ingest(3) // version 4: kicks the loop, whose checkpoint parks on shard 0
+	waitFor(t, "the checkpoint to block on shard 0", func() bool {
+		return m.shardContended.With("checkpoint").Value() > 0
+	})
+	ingest(4) // version 5, mid-checkpoint: queues a second kick
+	if len(d.kick) != 1 {
+		t.Fatalf("no kick queued during the checkpoint (len %d)", len(d.kick))
+	}
+	held.Unlock()
+	waitFor(t, "the loop to take the queued kick", func() bool { return len(d.kick) == 0 })
+	if err := d.Close(); err != nil { // waits for the loop to finish the kick
+		t.Fatal(err)
+	}
+
+	if got := d.ckptTotal.Load(); got != 1 {
+		cks, _ := wal.Checkpoints(dir)
+		t.Fatalf("wrote %d checkpoints over versions 1..5 at cadence 4, want 1: %+v", got, cks)
+	}
+	if got := d.LastCheckpointVersion(); got != 4 {
+		t.Fatalf("checkpoint at version %d, want 4", got)
+	}
+}
+
+// TestCheckpointDuringIngestRecovers runs version-driven checkpoints in the
+// background while ingest keeps landing, then crashes and recovers: a
+// checkpoint written under live ingest must be at least as new as the
+// version it records, so the newest one plus the WAL tail past it rebuilds
+// the exact shard state, pending tickets included.
+func TestCheckpointDuringIngestRecovers(t *testing.T) {
+	dir := t.TempDir()
+	s1, d1 := recoverStore(t, dir, DurabilityConfig{
+		Sync: wal.SyncNever, CheckpointEvery: 8, KeepCheckpoints: 2, NoFinalCheckpoint: true,
+	})
+	ingestSteps(t, s1, 0, 150)
+	waitFor(t, "a background checkpoint", func() bool { return d1.ckptTotal.Load() > 0 })
+	want := s1.Snapshot()
+	d1.Abandon() // waits for a running checkpoint, then crashes
+
+	s2, d2 := recoverStore(t, dir, DurabilityConfig{Sync: wal.SyncNever, CheckpointEvery: -1})
+	defer d2.Close()
+	if rec := d2.Recovery(); rec.CheckpointVersion == 0 || rec.SkippedCheckpoints != 0 {
+		t.Fatalf("recovery did not start from a background checkpoint: %+v", rec)
+	}
+	assertSameState(t, s1, s2)
 	assertSameContent(t, want, s2.Snapshot())
 }
 

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"net/url"
+	"os"
 	"testing"
 
 	"nevermind/internal/data"
@@ -128,4 +131,82 @@ func FuzzRankParams(f *testing.F) {
 			t.Fatalf("accepted n %d < 1 from %q", n, query)
 		}
 	})
+}
+
+// FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint loader the
+// daemon, nevermindwal verify and the replica bootstrap share
+// (Store.ReadCheckpoint: wal decode, then seat into fresh shards). On any
+// bytes it must either restore a state that passes every restore check — and
+// writes a checkpoint that loads back to the same state — or fail and leave
+// the store empty. A healthy format-2 file that has been cut short, had one
+// bit flipped, or been extended never restores.
+func FuzzCheckpointDecode(f *testing.F) {
+	src := NewStore(4)
+	feedSteps(f, src, format1Steps())
+	healthy := writeCkptBytes(f, src)
+	f.Add(healthy)
+	// Truncations at every frame boundary and a few bytes past each.
+	var frames []int
+	for off := 20; off+8 <= len(healthy); off += 8 + int(binary.LittleEndian.Uint32(healthy[off:])) {
+		frames = append(frames, off)
+	}
+	for _, off := range frames {
+		f.Add(healthy[:off])
+		f.Add(healthy[:off+5])
+	}
+	// Bit flips in the header (magic, format, version), the first frame's
+	// length and CRC, a version-frame payload byte, and a line-frame payload
+	// byte.
+	line := frames[1]
+	for _, off := range []int{0, 8, 12, frames[0], frames[0] + 4, frames[0] + 9, line + 8 + 30} {
+		b := append([]byte(nil), healthy...)
+		b[off] ^= 0x04
+		f.Add(b)
+	}
+	f.Add(append(append([]byte(nil), healthy...), 0))
+	format1, err := os.ReadFile(format1Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(format1)
+	f.Add([]byte("NVMCKPT2 but not really a checkpoint"))
+	f.Add([]byte{0x1f, 0x8b, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := NewStore(2)
+		v, err := s.ReadCheckpoint(bytes.NewReader(b))
+		if err != nil {
+			assertEmptyStore(t, s)
+			return
+		}
+		if damagedCopy(b, healthy) {
+			t.Fatalf("a truncated, bit-flipped or extended healthy checkpoint restored (%d bytes vs %d)", len(b), len(healthy))
+		}
+		if v != s.Version() {
+			t.Fatalf("loader returned version %d, store at %d", v, s.Version())
+		}
+		assertValidRestore(t, s)
+		again := NewStore(4)
+		if _, err := again.ReadCheckpoint(bytes.NewReader(writeCkptBytes(t, s))); err != nil {
+			t.Fatalf("restored state writes a checkpoint that does not load: %v", err)
+		}
+		assertSameState(t, s, again)
+	})
+}
+
+// damagedCopy reports whether b is healthy cut short, extended, or with
+// exactly one bit flipped.
+func damagedCopy(b, healthy []byte) bool {
+	switch {
+	case len(b) < len(healthy):
+		return bytes.HasPrefix(healthy, b)
+	case len(b) > len(healthy):
+		return bytes.HasPrefix(b, healthy)
+	}
+	flipped := 0
+	for i := range b {
+		flipped += bits.OnesCount8(b[i] ^ healthy[i])
+	}
+	return flipped == 1
 }

@@ -19,8 +19,11 @@ import (
 // transiently, or deliver a batch that later fails ingest validation. The
 // re-delivery contract: after a pull error or a bad-batch rejection, the
 // next Next call re-serves the same week — a week is consumed only once it
-// has been delivered cleanly. The simulator's never-failing stream
-// trivially satisfies this because it never errors.
+// has been delivered cleanly. A failed pull still names its week: the batch
+// returned beside a pull error carries the pending week in Week (and no
+// records), so retries, backoff, spans and the terminal error name the week
+// being pulled. The simulator's never-failing stream trivially satisfies
+// this because it never errors.
 type Source interface {
 	Remaining() int
 	Next() (sim.Batch, bool, error)

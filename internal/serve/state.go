@@ -2,112 +2,147 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"io"
+	"slices"
 
 	"nevermind/internal/data"
 	"nevermind/internal/wal"
 )
 
-// StoreState is the checkpoint shape: a complete, canonical dump of the
-// store's shard contents plus the counters needed to resume exactly where a
-// crashed process stopped. It is gob-encoded (gzipped) by wal.WriteCheckpoint
-// — the same idiom as data.Dataset persistence. Canonical ordering (lines
-// ascending, per-line weeks ascending, tickets in (Day, Line, ID, Category)
-// order) makes the encoded bytes a function of the state alone, independent
-// of shard count and map iteration order.
-//
-// The dump is full shard state, NOT a Snapshot: a snapshot excludes tickets
-// for lines with no test record yet, while the shards keep them so those
-// tickets surface once the line's first test arrives. A restart must not
-// lose that pending set.
-type StoreState struct {
-	Version    uint64
-	LatestWeek int64
-	MaxLine    int64
-	Lines      []LineDump
-	Tickets    []data.Ticket
-}
+// A checkpoint is the store's full shard state, written by WriteCheckpoint
+// and restored by LoadCheckpoint or ReadCheckpoint; the byte format is
+// internal/wal's. It is NOT a Snapshot: a snapshot excludes tickets for
+// lines with no test record yet, while the shards keep them so those tickets
+// surface once the line's first test arrives. A restart must not lose that
+// pending set. The latestWeek and maxLine watermarks are not stored: a
+// restore derives them from the lines it seats.
 
-// LineDump is one line's full state: static attributes plus every seen
-// week's measurement (Week is carried inside each data.Measurement).
-type LineDump struct {
-	Line    data.LineID
-	Profile uint8
-	DSLAM   int32
-	Usage   float32
-	Tests   []data.Measurement
-}
-
-// ExportState captures a consistent-enough dump for checkpointing: the
-// version is read FIRST, then the shards are swept, so the captured state is
-// at least as new as the recorded version. Replaying WAL records past that
-// version on top re-applies idempotently (test cells overwrite per
-// (line, week), tickets dedup), which is exactly what recovery does.
-func (s *Store) ExportState() *StoreState {
-	st := &StoreState{
-		Version:    s.version.Load(),
-		LatestWeek: s.latestWeek.Load(),
-		MaxLine:    s.maxLine.Load(),
+// WriteCheckpoint streams the store into a new checkpoint file in dir when
+// its version is past after, and returns the version the file captures (0
+// when it wrote nothing). The version is read first and every line after
+// it, so the file is at least as new as its version: applyTests and
+// applyTickets run before bumpVersion, and replaying WAL records past the
+// version re-applies idempotently (test cells overwrite per (line, week),
+// tickets dedup), which is exactly what recovery does. Lines are read in id
+// order, each under its shard's read lock, and no shard lock is held across
+// a file write; so no copy of the whole state is ever built.
+func (s *Store) WriteCheckpoint(dir string, after uint64) (uint64, error) {
+	version := s.version.Load()
+	if version <= after {
+		return 0, nil
 	}
+	var ids []data.LineID
+	var tickets []data.Ticket
 	for i := range s.shards {
 		sh := &s.shards[i]
 		s.rlockShard(sh, "checkpoint")
-		for l, ls := range sh.lines {
-			ld := LineDump{Line: l, Profile: ls.profile, DSLAM: ls.dslam, Usage: ls.usage}
-			for w := 0; w < data.Weeks; w++ {
-				if ls.seen[w] {
-					ld.Tests = append(ld.Tests, ls.tests[w])
-				}
-			}
-			st.Lines = append(st.Lines, ld)
+		for l := range sh.lines {
+			ids = append(ids, l)
 		}
-		st.Tickets = append(st.Tickets, sh.tickets...)
+		tickets = append(tickets, sh.tickets...)
 		sh.mu.RUnlock()
 	}
-	sort.Slice(st.Lines, func(a, b int) bool { return st.Lines[a].Line < st.Lines[b].Line })
-	sortTickets(st.Tickets)
-	return st
+	slices.Sort(ids)
+	sortTickets(tickets)
+
+	cw, err := wal.CreateCheckpoint(dir, version)
+	if err != nil {
+		return 0, err
+	}
+	defer cw.Abort()
+	var cl wal.CheckpointLine
+	for _, l := range ids {
+		sh := s.shardOf(l)
+		s.rlockShard(sh, "checkpoint")
+		ls := sh.lines[l]
+		cl = wal.CheckpointLine{Line: l, Profile: ls.profile, DSLAM: ls.dslam, Usage: ls.usage, Tests: cl.Tests[:0]}
+		for w := range ls.seen {
+			if ls.seen[w] {
+				cl.Tests = append(cl.Tests, ls.tests[w])
+			}
+		}
+		sh.mu.RUnlock()
+		if err := cw.Line(&cl); err != nil {
+			return 0, err
+		}
+	}
+	for _, t := range tickets {
+		if err := cw.Ticket(t); err != nil {
+			return 0, err
+		}
+	}
+	if err := cw.Commit(); err != nil {
+		return 0, err
+	}
+	return version, nil
 }
 
-// RestoreState seats a checkpoint dump into an empty store. The store must
-// be fresh (version 0, nothing ingested) — recovery builds a new store,
-// restores, then replays the WAL tail on top.
-func (s *Store) RestoreState(st *StoreState) error {
+// LoadCheckpoint restores the checkpoint file at path into the store, which
+// must be empty, and returns the version it captures. On any error the
+// store is left empty, so the caller can fall back to an older checkpoint
+// on the same store.
+func (s *Store) LoadCheckpoint(path string) (uint64, error) {
+	return s.restore(func(sink wal.CheckpointSink) (uint64, error) { return wal.LoadCheckpoint(path, sink) })
+}
+
+// ReadCheckpoint is LoadCheckpoint for checkpoint bytes read from r (a
+// replication follower's download), without the file-name check.
+func (s *Store) ReadCheckpoint(r io.Reader) (uint64, error) {
+	return s.restore(func(sink wal.CheckpointSink) (uint64, error) { return wal.ReadCheckpoint(r, sink) })
+}
+
+// restore runs a checkpoint read into a fresh store and moves its shards
+// into s only once the whole file has loaded, so a failed read leaves s
+// empty.
+func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, error) {
 	if s.version.Load() != 0 || s.maxLine.Load() != -1 {
-		return fmt.Errorf("serve: RestoreState on a non-empty store (version %d)", s.version.Load())
+		return 0, fmt.Errorf("serve: checkpoint restore into a non-empty store (version %d)", s.version.Load())
 	}
-	for i := range st.Lines {
-		ld := &st.Lines[i]
-		if ld.Line < 0 || ld.Line >= MaxLineID {
-			return fmt.Errorf("serve: checkpoint line %d outside [0,%d)", ld.Line, MaxLineID)
-		}
-		sh := s.shardOf(ld.Line)
-		ls := &lineState{profile: ld.Profile, dslam: ld.DSLAM, usage: ld.Usage}
-		for _, m := range ld.Tests {
-			if m.Week < 0 || m.Week >= data.Weeks {
-				return fmt.Errorf("serve: checkpoint line %d has week %d", ld.Line, m.Week)
-			}
-			if m.Line != ld.Line {
-				return fmt.Errorf("serve: checkpoint line %d holds a measurement for line %d", ld.Line, m.Line)
-			}
-			ls.tests[m.Week] = m
-			ls.seen[m.Week] = true
-		}
-		sh.lines[ld.Line] = ls
+	fresh := NewStore(len(s.shards))
+	v, err := read(restorer{fresh})
+	if err != nil {
+		return 0, err
 	}
-	for _, t := range st.Tickets {
-		if t.Line < 0 || t.Line >= MaxLineID || t.Day < 0 || t.Day >= data.DaysInYear || t.Category > data.CatOther {
-			return fmt.Errorf("serve: checkpoint ticket %+v out of range", t)
-		}
-		sh := s.shardOf(t.Line)
-		if _, dup := sh.dedup[t]; !dup {
-			sh.dedup[t] = struct{}{}
-			sh.tickets = append(sh.tickets, t)
-		}
+	for i := range s.shards {
+		sh, src := &s.shards[i], &fresh.shards[i]
+		sh.mu.Lock()
+		sh.lines, sh.tickets, sh.dedup = src.lines, src.tickets, src.dedup
+		sh.mu.Unlock()
 	}
-	s.version.Store(st.Version)
-	s.latestWeek.Store(st.LatestWeek)
-	s.maxLine.Store(st.MaxLine)
+	s.version.Store(v)
+	s.latestWeek.Store(fresh.latestWeek.Load())
+	s.maxLine.Store(fresh.maxLine.Load())
+	return v, nil
+}
+
+// restorer is the wal.CheckpointSink that seats checkpoint records into a
+// private store, deriving its watermarks from the lines. The wal loader has
+// already checked order and the data model's ranges; the restorer adds the
+// store's own bound on line ids.
+type restorer struct{ s *Store }
+
+func (r restorer) Line(l *wal.CheckpointLine) error {
+	if l.Line >= MaxLineID {
+		return fmt.Errorf("serve: checkpoint line %d outside [0,%d)", l.Line, MaxLineID)
+	}
+	ls := &lineState{profile: l.Profile, dslam: l.DSLAM, usage: l.Usage}
+	for _, m := range l.Tests {
+		ls.tests[m.Week] = m
+		ls.seen[m.Week] = true
+	}
+	r.s.shardOf(l.Line).lines[l.Line] = ls
+	r.s.latestWeek.Store(max(r.s.latestWeek.Load(), int64(l.Tests[len(l.Tests)-1].Week)))
+	r.s.maxLine.Store(int64(l.Line)) // lines arrive ascending
+	return nil
+}
+
+func (r restorer) Ticket(t data.Ticket) error {
+	if t.Line >= MaxLineID {
+		return fmt.Errorf("serve: checkpoint ticket %+v outside [0,%d)", t, MaxLineID)
+	}
+	sh := r.s.shardOf(t.Line)
+	sh.dedup[t] = struct{}{}
+	sh.tickets = append(sh.tickets, t)
 	return nil
 }
 
@@ -146,8 +181,8 @@ func (s *Store) ApplyWALRecord(rec *wal.Record) error {
 			}
 		}
 		// A replayed ticket batch may be wholly covered by the checkpoint the
-		// replay started from (ExportState captures at-least-the-version); the
-		// version still advances, through an empty delta.
+		// replay started from (WriteCheckpoint captures at least its
+		// version); the version still advances, through an empty delta.
 		added = s.applyTickets(recs)
 	default:
 		return fmt.Errorf("serve: replay version %d: unknown op %d", rec.Version, rec.Op)

@@ -911,31 +911,14 @@ func containsLineLinear(lines []data.LineID, l data.LineID) bool {
 	return false
 }
 
-// ticketLess is the canonical total order snapshots keep tickets in:
-// (Day, Line, ID, Category). Day-major preserves the sorted-by-day contract
-// every consumer relies on; the full tie-break makes the order a function of
-// the ticket multiset alone, so a delta merge and a from-scratch rebuild
-// sort identically regardless of shard sweep order.
-func ticketLess(a, b data.Ticket) bool {
-	if a.Day != b.Day {
-		return a.Day < b.Day
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Category < b.Category
-}
-
+// sortTickets puts ts in the canonical ticket order, data.TicketLess.
 func sortTickets(ts []data.Ticket) {
-	sort.Slice(ts, func(a, b int) bool { return ticketLess(ts[a], ts[b]) })
+	sort.Slice(ts, func(a, b int) bool { return data.TicketLess(ts[a], ts[b]) })
 }
 
 // containsTicket reports whether the canonically sorted slice holds t.
 func containsTicket(sorted []data.Ticket, t data.Ticket) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return !ticketLess(sorted[i], t) })
+	i := sort.Search(len(sorted), func(i int) bool { return !data.TicketLess(sorted[i], t) })
 	return i < len(sorted) && sorted[i] == t
 }
 

@@ -1,92 +1,366 @@
 package wal
 
 import (
+	"bufio"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"nevermind/internal/data"
 )
 
-// Checkpoints are full-store state dumps written beside the segments:
-// gzipped gob (the same encoding idiom as internal/data/persist.go), named
-// ckpt-%020d.ckpt by the store version they capture. Each file carries a
-// small gob header before the state so loaders can reject foreign files
-// without decoding a potentially huge payload; the gzip footer CRC (verified
-// by draining to EOF) covers the whole body. Writes are atomic:
-// tmp + fsync + rename + dir fsync — a crashed write leaves only a .tmp
-// husk, which pruning removes.
+// Checkpoints are full-store state dumps written beside the segments, named
+// ckpt-%020d.ckpt by the store version they capture. Format 2, the one
+// written, is uncompressed and streamed record by record:
+//
+//	[20-byte header: 8-byte magic "NVMCKPT2" | u32 format (2) | u64 version]
+//	[frame: kind 1 (version) | u64 version]
+//	[frame: kind 2 (lines)   | line record+]*
+//	[frame: kind 3 (tickets) | ticket entry+]*
+//	[frame: kind 4 (end)     | u64 line count | u64 ticket count]
+//
+// Frames are the segment frames, [u32 payload length | u32 CRC32-C of
+// payload | payload], and a payload's first byte is its kind. A record
+// never spans frames. All fields are fixed-width little-endian:
+//
+//	line record: u32 line | u8 profile | i32 DSLAM | f32 usage | u8 cells |
+//	             cells × (u8 week | u8 flags (bit 0 = Missing) | 25 × f32 F)
+//	ticket entry: u64 ID | u32 line | u32 day | u8 category (the WAL's)
+//
+// Records come in canonical order — lines ascending, weeks ascending within
+// a line, tickets in data.TicketLess order — so the bytes are a function of
+// the state alone. Every byte is checked: frames by their CRC, the header's
+// magic and format by value, and its version against the file name and the
+// version frame. The end frame's counts must match the records read, a file
+// cut at any frame boundary lacks the end frame, and nothing may follow it.
+// Writes are atomic: tmp + fsync + rename + dir fsync — a crashed write
+// leaves only a .tmp husk, which pruning removes.
+//
+// Format 1, written before format 2, is a gzipped gob stream of a header and
+// the whole state (the gzip footer CRC covers it). It stays readable, so
+// existing WAL directories still recover; nothing writes it any more.
 
 const (
-	ckptMagic   = "NVMCKPT1"
-	ckptFormat  = 1
+	ckptMagic   = "NVMCKPT2"
+	ckptFormat  = 2
+	ckptHdrLen  = 20
 	ckptPrefix  = "ckpt-"
 	ckptSuffix  = ".ckpt"
 	ckptNameLen = len(ckptPrefix) + 20 + len(ckptSuffix)
+
+	// Frame kinds, in the order their frames appear.
+	kindVersion = 1
+	kindLines   = 2
+	kindTickets = 3
+	kindEnd     = 4
+
+	lineRecFixed = 4 + 1 + 4 + 4 + 1
+	cellLen      = 1 + 1 + 4*data.NumBasicFeatures
+	// A frame is sealed once its payload reaches ckptFrameTarget bytes, so
+	// no payload exceeds the target plus one full line record.
+	ckptFrameTarget = 64 << 10
+	ckptFrameMax    = ckptFrameTarget + lineRecFixed + data.Weeks*cellLen
 )
 
-type ckptHeader struct {
-	Magic   string
-	Format  int
-	Version uint64
+// CheckpointLine is one line's full state in a checkpoint: its static
+// attributes and every seen week's measurement, weeks ascending, each
+// measurement carrying the record's Line.
+type CheckpointLine struct {
+	Line    data.LineID
+	Profile uint8
+	DSLAM   int32
+	Usage   float32
+	Tests   []data.Measurement
 }
 
-// WriteCheckpoint atomically writes state (any gob-encodable value) as the
-// checkpoint for the given store version.
-func WriteCheckpoint(dir string, version uint64, state any) (retErr error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: create checkpoint dir: %w", err)
+// order is what every checkpoint must satisfy record by record, on the
+// write side and on the read side of either format: lines strictly
+// ascending, each with one to data.Weeks cells in strictly ascending weeks
+// that name the record's line, and attributes within the data model's
+// ranges; then tickets strictly ascending in data.TicketLess order and
+// within range. It counts the records it has passed; the zero value is
+// ready for the first record.
+type order struct {
+	lastLine data.LineID
+	lastTkt  data.Ticket
+	lines    uint64
+	tickets  uint64
+}
+
+func (o *order) line(l *CheckpointLine) error {
+	switch {
+	case o.tickets > 0:
+		return fmt.Errorf("%w: checkpoint line %d after tickets", ErrCorrupt, l.Line)
+	case l.Line < 0:
+		return fmt.Errorf("%w: negative checkpoint line %d", ErrCorrupt, l.Line)
+	case o.lines > 0 && l.Line <= o.lastLine:
+		return fmt.Errorf("%w: checkpoint line %d follows line %d", ErrCorrupt, l.Line, o.lastLine)
+	case int(l.Profile) >= len(data.Profiles):
+		return fmt.Errorf("%w: checkpoint line %d has profile %d", ErrCorrupt, l.Line, l.Profile)
+	case l.DSLAM < 0:
+		return fmt.Errorf("%w: checkpoint line %d has DSLAM %d", ErrCorrupt, l.Line, l.DSLAM)
+	case len(l.Tests) == 0 || len(l.Tests) > data.Weeks:
+		return fmt.Errorf("%w: checkpoint line %d holds %d weeks", ErrCorrupt, l.Line, len(l.Tests))
 	}
-	final := filepath.Join(dir, ckptName(version))
-	tmp := final + ".tmp"
+	prevWeek := -1
+	for i := range l.Tests {
+		m := &l.Tests[i]
+		if m.Line != l.Line {
+			return fmt.Errorf("%w: checkpoint line %d holds a measurement for line %d", ErrCorrupt, l.Line, m.Line)
+		}
+		if m.Week <= prevWeek || m.Week >= data.Weeks {
+			return fmt.Errorf("%w: checkpoint line %d has week %d after week %d", ErrCorrupt, l.Line, m.Week, prevWeek)
+		}
+		prevWeek = m.Week
+	}
+	o.lastLine = l.Line
+	o.lines++
+	return nil
+}
+
+func (o *order) ticket(t data.Ticket) error {
+	if o.tickets > 0 && !data.TicketLess(o.lastTkt, t) {
+		return fmt.Errorf("%w: checkpoint ticket %+v follows %+v", ErrCorrupt, t, o.lastTkt)
+	}
+	if err := ticketFieldErr(t); err != nil {
+		return fmt.Errorf("%w: checkpoint ticket %d %v", ErrCorrupt, t.ID, err)
+	}
+	o.lastTkt = t
+	o.tickets++
+	return nil
+}
+
+// appendLine serialises one line record onto buf.
+func appendLine(buf []byte, l *CheckpointLine) []byte {
+	n := len(buf)
+	size := lineRecFixed + len(l.Tests)*cellLen
+	buf = slices.Grow(buf, size)[:n+size]
+	rec := buf[n:]
+	binary.LittleEndian.PutUint32(rec, uint32(l.Line))
+	rec[4] = l.Profile
+	binary.LittleEndian.PutUint32(rec[5:], uint32(l.DSLAM))
+	binary.LittleEndian.PutUint32(rec[9:], math.Float32bits(l.Usage))
+	rec[13] = byte(len(l.Tests))
+	for i := range l.Tests {
+		m := &l.Tests[i]
+		c := rec[lineRecFixed+i*cellLen:]
+		c[0], c[1] = byte(m.Week), 0
+		if m.Missing {
+			c[1] = 1
+		}
+		for k, f := range m.F {
+			binary.LittleEndian.PutUint32(c[2+4*k:], math.Float32bits(f))
+		}
+	}
+	return buf
+}
+
+// decodeLine parses the line record at the front of b into l, reusing
+// l.Tests, and returns the rest of b. It checks the layout only; order
+// checks the values.
+func decodeLine(b []byte, l *CheckpointLine) ([]byte, error) {
+	if len(b) < lineRecFixed {
+		return nil, fmt.Errorf("%w: truncated checkpoint line record", ErrCorrupt)
+	}
+	l.Line = data.LineID(int32(binary.LittleEndian.Uint32(b)))
+	l.Profile = b[4]
+	l.DSLAM = int32(binary.LittleEndian.Uint32(b[5:]))
+	l.Usage = math.Float32frombits(binary.LittleEndian.Uint32(b[9:]))
+	n := int(b[13])
+	b = b[lineRecFixed:]
+	if len(b) < n*cellLen {
+		return nil, fmt.Errorf("%w: checkpoint line %d claims %d weeks", ErrCorrupt, l.Line, n)
+	}
+	l.Tests = slices.Grow(l.Tests[:0], n)[:n]
+	for i := range l.Tests {
+		c := b[i*cellLen:]
+		if c[1]&^1 != 0 {
+			return nil, fmt.Errorf("%w: checkpoint line %d has cell flags %#x", ErrCorrupt, l.Line, c[1])
+		}
+		m := &l.Tests[i]
+		m.Line, m.Week, m.Missing = l.Line, int(c[0]), c[1] == 1
+		for k := range m.F {
+			m.F[k] = math.Float32frombits(binary.LittleEndian.Uint32(c[2+4*k:]))
+		}
+	}
+	return b[n*cellLen:], nil
+}
+
+// CheckpointWriter streams one format-2 checkpoint into a temporary file
+// beside its final name. Line and Ticket take the records in canonical
+// order; a record out of order or out of range fails the write, so the
+// writer never publishes a file the loader would reject. Commit publishes
+// the file atomically; Abort (a no-op after Commit) removes the husk of one
+// that will not be committed. The first error is sticky.
+type CheckpointWriter struct {
+	dir, tmp string
+	version  uint64
+	f        *os.File
+	frame    []byte // the frame being filled; empty between frames
+	ord      order
+	err      error
+	done     bool
+}
+
+// CreateCheckpoint starts the checkpoint for the given store version in dir:
+// it creates the temporary file and writes the header and version frame.
+func CreateCheckpoint(dir string, version uint64) (*CheckpointWriter, error) {
+	if version == 0 {
+		return nil, errVersionZero
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: create checkpoint dir: %w", err)
+	}
+	tmp := filepath.Join(dir, ckptName(version)) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: create checkpoint: %w", err)
+		return nil, fmt.Errorf("wal: create checkpoint: %w", err)
 	}
-	defer func() {
-		if retErr != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	zw := gzip.NewWriter(f)
-	enc := gob.NewEncoder(zw)
-	if err := enc.Encode(ckptHeader{Magic: ckptMagic, Format: ckptFormat, Version: version}); err != nil {
-		return fmt.Errorf("wal: encode checkpoint header: %w", err)
+	w := &CheckpointWriter{dir: dir, tmp: tmp, version: version, f: f}
+	hdr := make([]byte, ckptHdrLen)
+	copy(hdr, ckptMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], ckptFormat)
+	binary.LittleEndian.PutUint64(hdr[12:], version)
+	if _, err := f.Write(hdr); err != nil {
+		w.err = fmt.Errorf("wal: write checkpoint header: %w", err)
 	}
-	if err := enc.Encode(state); err != nil {
-		return fmt.Errorf("wal: encode checkpoint state: %w", err)
+	w.open(kindVersion)
+	w.frame = binary.LittleEndian.AppendUint64(w.frame, version)
+	w.seal()
+	if w.err != nil {
+		w.Abort()
+		return nil, w.err
 	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("wal: flush checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: publish checkpoint: %w", err)
-	}
-	return syncDir(dir)
+	return w, nil
 }
 
-// LoadCheckpoint decodes a checkpoint file into state and returns the store
-// version it captures. Any decoding failure — including a gzip CRC mismatch
-// detected while draining to EOF — is reported; the caller falls back to an
-// older checkpoint.
-func LoadCheckpoint(path string, state any) (uint64, error) {
+// open makes the frame being filled one of the given kind, sealing a frame
+// of another kind first.
+func (w *CheckpointWriter) open(kind byte) {
+	if len(w.frame) > 0 && w.frame[frameLen] != kind {
+		w.seal()
+	}
+	if len(w.frame) == 0 {
+		w.frame = append(beginFrame(w.frame), kind)
+	}
+}
+
+// seal frames and writes the frame being filled.
+func (w *CheckpointWriter) seal() {
+	if len(w.frame) == 0 || w.err != nil {
+		return
+	}
+	sealFrame(w.frame)
+	if _, err := w.f.Write(w.frame); err != nil {
+		w.err = fmt.Errorf("wal: write checkpoint: %w", err)
+	}
+	w.frame = w.frame[:0]
+}
+
+// sealIfFull seals the frame being filled once it reaches the target size.
+func (w *CheckpointWriter) sealIfFull() error {
+	if len(w.frame) >= frameLen+ckptFrameTarget {
+		w.seal()
+	}
+	return w.err
+}
+
+// Line appends one line record. Lines must precede every ticket.
+func (w *CheckpointWriter) Line(l *CheckpointLine) error {
+	if w.err == nil {
+		w.err = w.ord.line(l)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.open(kindLines)
+	w.frame = appendLine(w.frame, l)
+	return w.sealIfFull()
+}
+
+// Ticket appends one ticket entry.
+func (w *CheckpointWriter) Ticket(t data.Ticket) error {
+	if w.err == nil {
+		w.err = w.ord.ticket(t)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.open(kindTickets)
+	w.frame = appendTicket(w.frame, t)
+	return w.sealIfFull()
+}
+
+// Commit writes the end frame and publishes the checkpoint: fsync, rename
+// over the final name, fsync the directory.
+func (w *CheckpointWriter) Commit() error {
+	w.open(kindEnd)
+	w.frame = binary.LittleEndian.AppendUint64(w.frame, w.ord.lines)
+	w.frame = binary.LittleEndian.AppendUint64(w.frame, w.ord.tickets)
+	w.seal()
+	if w.err == nil {
+		if err := w.f.Sync(); err != nil {
+			w.err = fmt.Errorf("wal: sync checkpoint: %w", err)
+		}
+	}
+	if w.err != nil {
+		w.Abort()
+		return w.err
+	}
+	w.done = true
+	if err := w.f.Close(); err != nil {
+		os.Remove(w.tmp)
+		return fmt.Errorf("wal: close checkpoint: %w", err)
+	}
+	if err := os.Rename(w.tmp, filepath.Join(w.dir, ckptName(w.version))); err != nil {
+		os.Remove(w.tmp)
+		return fmt.Errorf("wal: publish checkpoint: %w", err)
+	}
+	return syncDir(w.dir)
+}
+
+// Abort discards an uncommitted checkpoint and removes its temporary file.
+func (w *CheckpointWriter) Abort() {
+	if w.done {
+		return
+	}
+	w.done = true
+	w.f.Close()
+	os.Remove(w.tmp)
+}
+
+// errVersionZero rejects a checkpoint claiming version 0: every checkpoint
+// captures at least one ingest.
+var errVersionZero = fmt.Errorf("%w: checkpoint at version 0", ErrCorrupt)
+
+// CheckpointSink receives a checkpoint's records in canonical order, each
+// already checked. The *CheckpointLine and its Tests are reused between
+// calls: a sink copies what it keeps. A sink error aborts the read.
+type CheckpointSink interface {
+	Line(*CheckpointLine) error
+	Ticket(data.Ticket) error
+}
+
+// LoadCheckpoint reads a checkpoint file of either format into sink and
+// returns the store version it captures, cross-checked against the file
+// name. On error the sink may have seen records of a file that does not
+// load: the caller discards whatever it built from them.
+func LoadCheckpoint(path string, sink CheckpointSink) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: open checkpoint: %w", err)
 	}
 	defer f.Close()
-	v, err := ReadCheckpoint(f, state)
+	v, err := ReadCheckpoint(f, sink)
 	if err != nil {
 		return 0, err
 	}
@@ -96,35 +370,163 @@ func LoadCheckpoint(path string, state any) (uint64, error) {
 	return v, nil
 }
 
-// ReadCheckpoint decodes a checkpoint byte stream (the exact file format,
-// minus the filename cross-check LoadCheckpoint adds) into state and returns
-// the store version it captures. This is the loader a replication follower
-// uses on an HTTP response body, where there is no filename to check against
-// — the caller compares the version to the leader's advertised one instead.
-func ReadCheckpoint(r io.Reader, state any) (uint64, error) {
+// ReadCheckpoint reads a checkpoint byte stream of either format (the exact
+// file bytes, minus the file-name cross-check LoadCheckpoint adds) into sink
+// and returns the store version it captures. This is the loader a
+// replication follower uses on an HTTP response body, where there is no file
+// name. The same caveat applies: on error, discard what the sink built.
+func ReadCheckpoint(r io.Reader, sink CheckpointSink) (uint64, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	magic, _ := br.Peek(len(ckptMagic))
+	switch {
+	case string(magic) == ckptMagic:
+		return readFormat2(br, sink)
+	case len(magic) >= 2 && magic[0] == 0x1f && magic[1] == 0x8b: // gzip
+		return readFormat1(br, sink)
+	}
+	return 0, fmt.Errorf("%w: not a checkpoint", ErrCorrupt)
+}
+
+func readFormat2(r io.Reader, sink CheckpointSink) (uint64, error) {
+	hdr := make([]byte, ckptHdrLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, fmt.Errorf("%w: checkpoint header truncated", ErrCorrupt)
+	}
+	if f := binary.LittleEndian.Uint32(hdr[8:]); f != ckptFormat {
+		return 0, fmt.Errorf("%w: unknown checkpoint format %d", ErrCorrupt, f)
+	}
+	version := binary.LittleEndian.Uint64(hdr[12:])
+	if version == 0 {
+		return 0, errVersionZero
+	}
+	var (
+		buf  []byte
+		kind byte
+		line CheckpointLine
+		ord  order
+	)
+	for {
+		payload, err := readFrame(r, buf, 1, ckptFrameMax)
+		if err == io.EOF {
+			return 0, fmt.Errorf("%w: checkpoint ends without its end frame", ErrCorrupt)
+		}
+		if err != nil {
+			return 0, err
+		}
+		buf = payload
+		next, body := payload[0], payload[1:]
+		// The version frame comes first and only first; lines, tickets and
+		// the end frame follow in kind order.
+		if (kind == 0) != (next == kindVersion) || next < kind || next > kindEnd {
+			return 0, fmt.Errorf("%w: checkpoint frame kind %d after kind %d", ErrCorrupt, next, kind)
+		}
+		kind = next
+		switch kind {
+		case kindVersion:
+			if len(body) != 8 || binary.LittleEndian.Uint64(body) != version {
+				return 0, fmt.Errorf("%w: checkpoint version frame disagrees with header version %d", ErrCorrupt, version)
+			}
+		case kindLines:
+			if len(body) == 0 {
+				return 0, fmt.Errorf("%w: empty checkpoint line frame", ErrCorrupt)
+			}
+			for len(body) > 0 {
+				if body, err = decodeLine(body, &line); err != nil {
+					return 0, err
+				}
+				if err := ord.line(&line); err != nil {
+					return 0, err
+				}
+				if err := sink.Line(&line); err != nil {
+					return 0, err
+				}
+			}
+		case kindTickets:
+			if len(body) == 0 || len(body)%ticketEntryLen != 0 {
+				return 0, fmt.Errorf("%w: checkpoint ticket frame of %d bytes", ErrCorrupt, len(body))
+			}
+			for ; len(body) > 0; body = body[ticketEntryLen:] {
+				t := parseTicket(body)
+				if err := ord.ticket(t); err != nil {
+					return 0, err
+				}
+				if err := sink.Ticket(t); err != nil {
+					return 0, err
+				}
+			}
+		case kindEnd:
+			if len(body) != 16 || binary.LittleEndian.Uint64(body) != ord.lines || binary.LittleEndian.Uint64(body[8:]) != ord.tickets {
+				return 0, fmt.Errorf("%w: checkpoint end frame does not match %d lines, %d tickets", ErrCorrupt, ord.lines, ord.tickets)
+			}
+			var extra [1]byte
+			if _, err := io.ReadFull(r, extra[:]); err != io.EOF {
+				return 0, fmt.Errorf("%w: bytes after the checkpoint end frame", ErrCorrupt)
+			}
+			return version, nil
+		}
+	}
+}
+
+// ckptV1Header and ckptV1State mirror the gob values a format-1 file holds;
+// gob matches fields by name, and the state's LatestWeek and MaxLine
+// watermarks are left out because a restore derives them from the records.
+type ckptV1Header struct {
+	Magic   string
+	Format  int
+	Version uint64
+}
+
+type ckptV1State struct {
+	Version uint64
+	Lines   []CheckpointLine
+	Tickets []data.Ticket
+}
+
+func readFormat1(r io.Reader, sink CheckpointSink) (uint64, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return 0, fmt.Errorf("wal: checkpoint not gzip: %w", err)
 	}
 	defer zr.Close()
 	dec := gob.NewDecoder(zr)
-	var hdr ckptHeader
+	var hdr ckptV1Header
 	if err := dec.Decode(&hdr); err != nil {
 		return 0, fmt.Errorf("wal: decode checkpoint header: %w", err)
 	}
-	if hdr.Magic != ckptMagic {
-		return 0, fmt.Errorf("wal: bad checkpoint magic %q", hdr.Magic)
+	if hdr.Magic != "NVMCKPT1" || hdr.Format != 1 {
+		return 0, fmt.Errorf("wal: bad format-1 checkpoint header %q/%d", hdr.Magic, hdr.Format)
 	}
-	if hdr.Format != ckptFormat {
-		return 0, fmt.Errorf("wal: unknown checkpoint format %d", hdr.Format)
-	}
-	if err := dec.Decode(state); err != nil {
+	var st ckptV1State
+	if err := dec.Decode(&st); err != nil {
 		return 0, fmt.Errorf("wal: decode checkpoint state: %w", err)
 	}
-	// Drain to EOF so the gzip footer CRC is actually verified — gob stops
-	// reading at the last value and would miss a corrupted tail otherwise.
+	// Drain to EOF so the gzip footer CRC is verified before the sink sees
+	// a record: gob stops reading at the last value.
 	if _, err := io.Copy(io.Discard, zr); err != nil {
 		return 0, fmt.Errorf("wal: checkpoint trailer: %w", err)
+	}
+	if hdr.Version == 0 {
+		return 0, errVersionZero
+	}
+	if st.Version != hdr.Version {
+		return 0, fmt.Errorf("%w: checkpoint state version %d, header %d", ErrCorrupt, st.Version, hdr.Version)
+	}
+	var ord order
+	for i := range st.Lines {
+		if err := ord.line(&st.Lines[i]); err != nil {
+			return 0, err
+		}
+		if err := sink.Line(&st.Lines[i]); err != nil {
+			return 0, err
+		}
+	}
+	for _, t := range st.Tickets {
+		if err := ord.ticket(t); err != nil {
+			return 0, err
+		}
+		if err := sink.Ticket(t); err != nil {
+			return 0, err
+		}
 	}
 	return hdr.Version, nil
 }

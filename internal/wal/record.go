@@ -1,8 +1,9 @@
 // Package wal is the durability subsystem's storage layer: a per-store
 // write-ahead log of ingest batches plus periodic full-store checkpoints.
 // The log is a directory of append-only segment files holding CRC-framed,
-// versioned records; checkpoints are gzipped gob files (the same encoding
-// idiom as internal/data/persist.go) written atomically beside the segments.
+// versioned records; checkpoints are uncompressed files of CRC-framed
+// binary line and ticket records in the same frames (see checkpoint.go),
+// written atomically beside the segments.
 // Recovery loads the newest valid checkpoint and replays the contiguous WAL
 // tail past it; a torn or corrupt tail is truncated at the first invalid
 // record, never replayed.
@@ -117,15 +118,46 @@ func appendRecord(buf []byte, r *Record) ([]byte, error) {
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Tickets)))
 		for _, t := range r.Tickets {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.ID))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Line))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Day))
-			buf = append(buf, byte(t.Category))
+			buf = appendTicket(buf, t)
 		}
 	default:
 		return nil, fmt.Errorf("wal: unknown op %d", r.Op)
 	}
 	return buf, nil
+}
+
+// appendTicket serialises one ticket entry, the fixed-width layout WAL
+// records and checkpoints share: u64 ID | u32 line | u32 day | u8 category.
+func appendTicket(buf []byte, t data.Ticket) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.ID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Line))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Day))
+	return append(buf, byte(t.Category))
+}
+
+// parseTicket reads the ticket entry at the front of b (at least
+// ticketEntryLen bytes); ticketFieldErr range-checks it.
+func parseTicket(b []byte) data.Ticket {
+	return data.Ticket{
+		ID:       int(int64(binary.LittleEndian.Uint64(b))),
+		Line:     data.LineID(int32(binary.LittleEndian.Uint32(b[8:]))),
+		Day:      int(int32(binary.LittleEndian.Uint32(b[12:]))),
+		Category: data.TicketCategory(b[16]),
+	}
+}
+
+// ticketFieldErr range-checks a ticket against the data model. The error
+// names the bad field; callers add the context.
+func ticketFieldErr(t data.Ticket) error {
+	switch {
+	case t.Line < 0:
+		return errors.New("has negative line")
+	case t.Day < 0 || t.Day >= data.DaysInYear:
+		return fmt.Errorf("has day %d", t.Day)
+	case t.Category > data.CatOther:
+		return fmt.Errorf("has category %d", t.Category)
+	}
+	return nil
 }
 
 // EncodePayload serialises r's payload (no framing) onto buf and returns the
@@ -214,21 +246,11 @@ func decodeRecord(payload []byte) (*Record, error) {
 		}
 		r.Tickets = make([]data.Ticket, 0, count)
 		for i := 0; i < count; i++ {
-			t := data.Ticket{
-				ID:       int(int64(binary.LittleEndian.Uint64(rest))),
-				Line:     data.LineID(int32(binary.LittleEndian.Uint32(rest[8:]))),
-				Day:      int(int32(binary.LittleEndian.Uint32(rest[12:]))),
-				Category: data.TicketCategory(rest[16]),
+			t := parseTicket(rest)
+			if err := ticketFieldErr(t); err != nil {
+				return nil, fmt.Errorf("%w: ticket entry %d %v", ErrCorrupt, i, err)
 			}
 			rest = rest[ticketEntryLen:]
-			switch {
-			case t.Line < 0:
-				return nil, fmt.Errorf("%w: ticket entry %d has negative line", ErrCorrupt, i)
-			case t.Day < 0 || t.Day >= data.DaysInYear:
-				return nil, fmt.Errorf("%w: ticket entry %d has day %d", ErrCorrupt, i, t.Day)
-			case t.Category > data.CatOther:
-				return nil, fmt.Errorf("%w: ticket entry %d has category %d", ErrCorrupt, i, t.Category)
-			}
 			r.Tickets = append(r.Tickets, t)
 		}
 		rest = nil

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -34,8 +33,8 @@ const (
 
 // StreamWriter frames WAL records onto a replication stream.
 type StreamWriter struct {
-	w   io.Writer
-	buf []byte
+	w     io.Writer
+	frame []byte
 }
 
 // NewStreamWriter writes the stream header carrying the leader's current
@@ -53,18 +52,15 @@ func NewStreamWriter(w io.Writer, leaderVersion uint64) (*StreamWriter, error) {
 
 // WriteRecord frames and writes one record.
 func (sw *StreamWriter) WriteRecord(r *Record) error {
-	payload, err := appendRecord(sw.buf[:0], r)
+	frame, err := appendRecord(beginFrame(sw.frame), r)
 	if err != nil {
 		return err
 	}
-	sw.buf = payload[:0]
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	sw.frame = frame[:0]
+	if len(frame)-frameLen > MaxRecordBytes {
+		return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(frame)-frameLen, MaxRecordBytes)
 	}
-	frame := make([]byte, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameLen:], payload)
+	sealFrame(frame)
 	if _, err := sw.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: write stream frame: %w", err)
 	}
@@ -102,32 +98,12 @@ func (sr *StreamReader) LeaderVersion() uint64 { return sr.leaderVersion }
 // Next returns the next record, io.EOF at a clean frame boundary, or a
 // wrapped ErrCorrupt for anything torn or invalid.
 func (sr *StreamReader) Next() (*Record, error) {
-	var frame [frameLen]byte
-	if _, err := io.ReadFull(sr.r, frame[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn stream frame", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(frame[:4])
-	if n < recHeaderLen || n > MaxRecordBytes {
-		return nil, fmt.Errorf("%w: stream frame claims %d bytes", ErrCorrupt, n)
-	}
-	if cap(sr.payload) < int(n) {
-		sr.payload = make([]byte, n)
-	}
-	sr.payload = sr.payload[:n]
-	if _, err := io.ReadFull(sr.r, sr.payload); err != nil {
-		return nil, fmt.Errorf("%w: torn stream payload", ErrCorrupt)
-	}
-	if crc32.Checksum(sr.payload, crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
-		return nil, fmt.Errorf("%w: stream frame CRC mismatch", ErrCorrupt)
-	}
-	rec, err := decodeRecord(sr.payload)
+	payload, err := readFrame(sr.r, sr.payload, recHeaderLen, MaxRecordBytes)
 	if err != nil {
 		return nil, err
 	}
-	return rec, nil
+	sr.payload = payload
+	return decodeRecord(payload)
 }
 
 // IsCorrupt reports whether err marks invalid stream bytes (as opposed to a

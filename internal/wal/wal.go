@@ -40,6 +40,52 @@ const (
 	segNameLen = len(segPrefix) + 20 + len(segSuffix)
 )
 
+// beginFrame starts a frame in buf (reusing its storage): the header room,
+// to be filled by sealFrame once the payload has been appended after it. A
+// frame is built and written as one buffer, so framing costs no copy.
+func beginFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameLen)...)
+}
+
+// sealFrame fills in the header of a frame begun with beginFrame: the length
+// and CRC32-C of the payload that follows it.
+func sealFrame(frame []byte) {
+	payload := frame[frameLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+}
+
+// readFrame reads one frame from r and returns its CRC-checked payload,
+// reusing buf's storage when it is large enough. io.EOF means r ended
+// cleanly at the frame boundary; a torn header or payload, a length outside
+// [minLen, maxLen] and a CRC mismatch all wrap ErrCorrupt. The length bound
+// is checked before anything is allocated, so a corrupt length field cannot
+// drive a huge allocation.
+func readFrame(r io.Reader, buf []byte, minLen, maxLen int) ([]byte, error) {
+	var hdr [frameLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w: torn frame header", ErrCorrupt)
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
+	if n < minLen || n > maxLen {
+		return nil, fmt.Errorf("%w: frame claims %d bytes", ErrCorrupt, n)
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("%w: torn frame payload", ErrCorrupt)
+	}
+	if crc32.Checksum(buf, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	}
+	return buf, nil
+}
+
 // SyncPolicy controls when appended records are fsynced to disk.
 type SyncPolicy int
 
@@ -246,13 +292,13 @@ func (l *Log) Append(r *Record) error {
 	if l.last != 0 && r.Version != l.last+1 {
 		return fmt.Errorf("wal: append version %d after %d (must be contiguous)", r.Version, l.last)
 	}
-	payload, err := appendRecord(l.buf[:0], r)
+	frame, err := appendRecord(beginFrame(l.buf), r)
 	if err != nil {
 		return err // encoding error: record rejected, log stays healthy
 	}
-	l.buf = payload[:0]
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	l.buf = frame[:0]
+	if len(frame)-frameLen > MaxRecordBytes {
+		return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(frame)-frameLen, MaxRecordBytes)
 	}
 	if l.f == nil || l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(r.Version); err != nil {
@@ -260,10 +306,7 @@ func (l *Log) Append(r *Record) error {
 			return err
 		}
 	}
-	frame := make([]byte, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameLen:], payload)
+	sealFrame(frame)
 	if _, err := l.f.Write(frame); err != nil {
 		l.broken = fmt.Errorf("wal: append: %w", err)
 		return l.broken
@@ -574,34 +617,20 @@ func scanSegment(path string, prev uint64) (segmentInfo, int64, int64, error) {
 
 	validEnd := int64(segHdrLen)
 	expect := nameFirst
-	var frame [frameLen]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			break // clean EOF or torn frame header: validity ends here
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n < recHeaderLen || n > MaxRecordBytes {
+		// Validity ends at a clean EOF, a torn or corrupt frame, or a frame
+		// claiming more bytes than the file holds.
+		p, err := readFrame(f, payload, recHeaderLen, int(min(MaxRecordBytes, fileSize-validEnd-frameLen)))
+		if err != nil {
 			break
 		}
-		if int64(n) > fileSize-validEnd-frameLen {
-			break // frame claims more bytes than the file holds
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
-			break
-		}
+		payload = p
 		rec, err := decodeRecord(payload)
 		if err != nil || rec.Version != expect {
 			break
 		}
-		validEnd += frameLen + int64(n)
+		validEnd += frameLen + int64(len(payload))
 		seg.last = rec.Version
 		seg.count++
 		expect++
@@ -660,26 +689,13 @@ func replaySegment(path string, prev, from uint64, applied *int, fn func(*Record
 		return 0, nil
 	}
 	expect := nameFirst
-	var frame [frameLen]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
+		p, err := readFrame(f, payload, recHeaderLen, MaxRecordBytes)
+		if err != nil {
 			break
 		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n < recHeaderLen || n > MaxRecordBytes {
-			break
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
-			break
-		}
+		payload = p
 		rec, err := decodeRecord(payload)
 		if err != nil || rec.Version != expect {
 			break

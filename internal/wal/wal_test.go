@@ -1,10 +1,10 @@
 package wal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -312,26 +312,86 @@ func TestResetAndTruncateThrough(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTripAndFallback(t *testing.T) {
-	dir := t.TempDir()
-	type state struct {
-		Name  string
-		Vals  []int
-		Table map[string]float64
+// ckptState is a checkpoint's content as the loader hands it over.
+type ckptState struct {
+	Lines   []CheckpointLine
+	Tickets []data.Ticket
+}
+
+// Line and Ticket make *ckptState a CheckpointSink that copies what it gets.
+func (c *ckptState) Line(l *CheckpointLine) error {
+	cp := *l
+	cp.Tests = append([]data.Measurement(nil), l.Tests...)
+	c.Lines = append(c.Lines, cp)
+	return nil
+}
+
+func (c *ckptState) Ticket(t data.Ticket) error {
+	c.Tickets = append(c.Tickets, t)
+	return nil
+}
+
+// testCkptState builds a canonical state of n lines from seed v: every
+// other line holds three weeks (one Missing), the rest one; one ticket per
+// five lines, plus one pending on a line with no test.
+func testCkptState(v uint64, n int) *ckptState {
+	st := &ckptState{}
+	for i := 0; i < n; i++ {
+		l := CheckpointLine{Line: data.LineID(2*i + 1), Profile: uint8(i % len(data.Profiles)), DSLAM: int32(i % 40), Usage: float32(v) + 0.5}
+		weeks := []int{40}
+		if i%2 == 0 {
+			weeks = []int{30, 31, 45}
+		}
+		for j, w := range weeks {
+			m := data.Measurement{Line: l.Line, Week: w, Missing: j == 1}
+			for k := range m.F {
+				m.F[k] = float32(v)*0.25 + float32(i) + float32(k)*0.01
+			}
+			l.Tests = append(l.Tests, m)
+		}
+		st.Lines = append(st.Lines, l)
 	}
-	for v := uint64(10); v <= 30; v += 10 {
-		s := state{Name: fmt.Sprintf("ckpt-%d", v), Vals: []int{int(v), int(v * 2)}, Table: map[string]float64{"x": float64(v)}}
-		if err := WriteCheckpoint(dir, v, &s); err != nil {
+	for i := 0; i < n; i += 5 {
+		st.Tickets = append(st.Tickets, data.Ticket{ID: int(v)*1000 + i, Line: data.LineID(2*i + 1), Day: 280 + i%7, Category: data.TicketCategory(i % int(data.CatOther+1))})
+	}
+	st.Tickets = append(st.Tickets, data.Ticket{ID: 7, Line: 2 * data.LineID(n), Day: 300})
+	sort.Slice(st.Tickets, func(a, b int) bool { return data.TicketLess(st.Tickets[a], st.Tickets[b]) })
+	return st
+}
+
+func writeTestCheckpoint(t *testing.T, dir string, v uint64, st *ckptState) {
+	t.Helper()
+	cw, err := CreateCheckpoint(dir, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Lines {
+		if err := cw.Line(&st.Lines[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, tk := range st.Tickets {
+		if err := cw.Ticket(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckpointRoundTripAndFallback(t *testing.T) {
+	dir := t.TempDir()
+	for v := uint64(10); v <= 30; v += 10 {
+		writeTestCheckpoint(t, dir, v, testCkptState(v, 50))
 	}
 	cks, err := Checkpoints(dir)
 	if err != nil || len(cks) != 3 {
 		t.Fatalf("Checkpoints: %d, %v", len(cks), err)
 	}
-	var got state
+	var got ckptState
 	v, err := LoadCheckpoint(cks[2].Path, &got)
-	if err != nil || v != 30 || got.Name != "ckpt-30" {
+	if err != nil || v != 30 || !reflect.DeepEqual(&got, testCkptState(30, 50)) {
 		t.Fatalf("load newest: v=%d err=%v state=%+v", v, err, got)
 	}
 
@@ -339,11 +399,12 @@ func TestCheckpointRoundTripAndFallback(t *testing.T) {
 	b, _ := os.ReadFile(cks[2].Path)
 	b[len(b)/2] ^= 0xff
 	os.WriteFile(cks[2].Path, b, 0o644)
-	if _, err := LoadCheckpoint(cks[2].Path, &state{}); err == nil {
+	if _, err := LoadCheckpoint(cks[2].Path, &ckptState{}); err == nil {
 		t.Fatal("corrupt checkpoint loaded cleanly")
 	}
+	got = ckptState{}
 	v, err = LoadCheckpoint(cks[1].Path, &got)
-	if err != nil || v != 20 {
+	if err != nil || v != 20 || !reflect.DeepEqual(&got, testCkptState(20, 50)) {
 		t.Fatalf("fallback load: v=%d err=%v", v, err)
 	}
 
@@ -357,18 +418,11 @@ func TestCheckpointRoundTripAndFallback(t *testing.T) {
 
 func TestCheckpointTruncatedFileRejected(t *testing.T) {
 	dir := t.TempDir()
-	big := make([]int, 100000)
-	for i := range big {
-		big[i] = i
-	}
-	if err := WriteCheckpoint(dir, 7, &big); err != nil {
-		t.Fatal(err)
-	}
+	writeTestCheckpoint(t, dir, 7, testCkptState(7, 4000)) // many frames
 	cks, _ := Checkpoints(dir)
 	b, _ := os.ReadFile(cks[0].Path)
 	os.WriteFile(cks[0].Path, b[:len(b)-10], 0o644)
-	var got []int
-	if _, err := LoadCheckpoint(cks[0].Path, &got); err == nil {
+	if _, err := LoadCheckpoint(cks[0].Path, &ckptState{}); err == nil {
 		t.Fatal("truncated checkpoint loaded cleanly")
 	}
 }
