@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -929,6 +930,74 @@ func BenchmarkIngestWALOn(b *testing.B) {
 	}
 	defer d.Abandon()
 	benchIngestLoop(b, s)
+}
+
+// BenchmarkIngestDecode measures the /v1/ingest decode layer alone:
+// serve.ParseIngest on the body of a Saturday run's last 2048-record batch,
+// encoded as perfbench encodes it (every field present, 25 float32
+// features in shortest round-trip form) and carrying the week's tickets, as
+// a week's last batch does.
+func BenchmarkIngestDecode(b *testing.B) {
+	const batch = 2048
+	res, err := sim.Run(sim.DefaultConfig(4000, 17))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := sim.NewSource(res.Dataset, 43, 44)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.Next() // week 43 carries the ticket history; week 44 only its own
+	week, ok := src.Next()
+	if !ok || len(week.Tests) < batch {
+		b.Fatalf("week 44 has %d tests, want at least %d", len(week.Tests), batch)
+	}
+	body := appendIngestBody(nil, week.Tests[len(week.Tests)-batch:], week.Tickets)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ib, err := serve.ParseIngest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ib.Spanned() || len(ib.Tests) != batch {
+			b.Fatalf("decoded %d tests (fast grammar %v)", len(ib.Tests), ib.Spanned())
+		}
+	}
+}
+
+// appendIngestBody encodes one /v1/ingest body the way perfbench does.
+func appendIngestBody(b []byte, tests []sim.LineTest, tickets []data.Ticket) []byte {
+	b = append(b, `{"tests":[`...)
+	for i := range tests {
+		t := &tests[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"line":%d,"week":%d`, t.M.Line, t.M.Week)
+		if t.M.Missing {
+			b = append(b, `,"missing":true`...)
+		}
+		b = append(b, `,"f":[`...)
+		for k, f := range t.M.F {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, float64(f), 'g', -1, 32)
+		}
+		b = fmt.Appendf(b, `],"profile":%d,"dslam":%d,"usage":`, t.Profile, t.DSLAM)
+		b = strconv.AppendFloat(b, float64(t.Usage), 'g', -1, 32)
+		b = append(b, '}')
+	}
+	b = append(b, `],"tickets":[`...)
+	for i, t := range tickets {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"id":%d,"line":%d,"day":%d,"category":%d}`, t.ID, t.Line, t.Day, t.Category)
+	}
+	return append(b, "]}"...)
 }
 
 // BenchmarkRecovery measures cold restart: checkpoint load plus WAL tail

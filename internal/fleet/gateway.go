@@ -343,40 +343,36 @@ type ingestReply struct {
 }
 
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req serve.IngestRequest
-	if err := serve.DecodeStrict(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes), &req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, serve.IngestReadError(body, err))
+		return
+	}
+	ib, err := serve.ParseIngest(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Whole-batch validation before any scatter: a bad batch is rejected
 	// atomically fleet-wide with the daemon's exact error text, and no shard
 	// ever sees part of one.
-	if err := serve.ValidateIngest(&req); err != nil {
+	if err := serve.ValidateIngest(&ib.IngestRequest); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	nsh := len(g.clients)
-	subs := make([]serve.IngestRequest, nsh)
-	for _, t := range req.Tests {
-		o := g.ring.Owner(t.Line)
-		subs[o].Tests = append(subs[o].Tests, t)
-	}
-	for _, t := range req.Tickets {
-		o := g.ring.Owner(t.Line)
-		subs[o].Tickets = append(subs[o].Tickets, t)
+	subs, err := g.splitIngest(body, ib)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	// Every shard gets its slice — empty slices included, so the merged
 	// lines/version totals are fresh across the whole fleet (an empty ingest
 	// does not bump a shard's version, it just reports current state).
+	nsh := len(g.clients)
 	results := make([]shardResult, nsh)
 	contacted := make([]int, 0, nsh)
 	var wg sync.WaitGroup
-	for i := 0; i < nsh; i++ {
-		body, err := json.Marshal(&subs[i])
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	for i, body := range subs {
 		contacted = append(contacted, i)
 		wg.Add(1)
 		go func(i int, body []byte) {
@@ -409,6 +405,69 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"lines":            merged.Lines,
 		"version":          merged.Version,
 	})
+}
+
+// splitIngest builds each shard's /v1/ingest body from a validated request.
+// When the fast grammar decoded it, a shard's body is the bytes of the
+// records it owns, copied out of the request in request order, and the
+// shard decodes them to exactly the values the gateway decoded. Any other
+// body is re-marshalled from the decoded records.
+func (g *Gateway) splitIngest(body []byte, ib *serve.IngestBody) ([][]byte, error) {
+	nsh := len(g.clients)
+	out := make([][]byte, nsh)
+	if !ib.Spanned() {
+		subs := make([]serve.IngestRequest, nsh)
+		for _, t := range ib.Tests {
+			o := g.ring.Owner(t.Line)
+			subs[o].Tests = append(subs[o].Tests, t)
+		}
+		for _, t := range ib.Tickets {
+			o := g.ring.Owner(t.Line)
+			subs[o].Tickets = append(subs[o].Tickets, t)
+		}
+		for i := range subs {
+			b, err := json.Marshal(&subs[i])
+			if err != nil {
+				return nil, err
+			}
+			out[i] = b
+		}
+		return out, nil
+	}
+	// Size every shard's body before copying, so each is one allocation.
+	owner := make([]int, len(ib.Tests)+len(ib.Tickets))
+	size := make([]int, nsh)
+	for i, t := range ib.Tests {
+		owner[i] = g.ring.Owner(t.Line)
+		size[owner[i]] += ib.TestSpans[i].End - ib.TestSpans[i].Start + 1
+	}
+	for i, t := range ib.Tickets {
+		o := g.ring.Owner(t.Line)
+		owner[len(ib.Tests)+i] = o
+		size[o] += ib.TicketSpans[i].End - ib.TicketSpans[i].Start + 1
+	}
+	for i := range out {
+		out[i] = append(make([]byte, 0, size[i]+len(`{"tests":[],"tickets":[]}`)), `{"tests":[`...)
+	}
+	appendRecord := func(o int, sp serve.Span) {
+		if b := out[o]; b[len(b)-1] != '[' {
+			out[o] = append(b, ',')
+		}
+		out[o] = append(out[o], body[sp.Start:sp.End]...)
+	}
+	for i, sp := range ib.TestSpans {
+		appendRecord(owner[i], sp)
+	}
+	for i := range out {
+		out[i] = append(out[i], `],"tickets":[`...)
+	}
+	for i, sp := range ib.TicketSpans {
+		appendRecord(owner[len(ib.Tests)+i], sp)
+	}
+	for i := range out {
+		out[i] = append(out[i], `]}`...)
+	}
+	return out, nil
 }
 
 // --- score ---------------------------------------------------------------------

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +45,11 @@ func TestGatewayOneShardByteIdentity(t *testing.T) {
 	tf.both(t, http.MethodPost, "/v1/ingest", []byte(`{"tests":[],"bogus":1}`))
 	tf.both(t, http.MethodPost, "/v1/ingest", []byte(`{"tests":[{"line":0,"week":999}]}`))
 	tf.both(t, http.MethodPost, "/v1/ingest", []byte(`{"tickets":[{"id":1,"line":-3,"day":10,"category":0}]}`))
+	// Valid tests with a bad ticket: both sides reject the whole body, so
+	// the rank after it still finds both stores empty.
+	tf.both(t, http.MethodPost, "/v1/ingest",
+		[]byte(`{"tests":[{"line":0,"week":40}],"tickets":[{"id":1,"line":0,"day":-1,"category":0}]}`))
+	tf.both(t, http.MethodGet, "/v1/rank?week=40", nil)
 
 	// A real ingest, applied to both sides.
 	body := ingestBodyFor(t, 39, 41)
@@ -80,6 +87,64 @@ func TestGatewayOneShardByteIdentity(t *testing.T) {
 	tf.both(t, http.MethodGet, "/v1/ingest", nil)
 	tf.both(t, http.MethodPost, "/v1/rank", nil)
 	tf.both(t, http.MethodGet, "/", nil)
+}
+
+// TestGatewayOversizeIngestErrors pins which error an ingest body past
+// MaxBodyBytes gets, on a daemon and through a 1-shard gateway: a body whose
+// first MaxBodyBytes bytes already hold a whole JSON value answers
+// "trailing data after JSON body", one cut off mid-value answers "http:
+// request body too large". Both handlers read the whole body before they
+// decode it, and must still answer what decoding the stream used to.
+func TestGatewayOversizeIngestErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams 128 MB bodies")
+	}
+	tf := newTestFleet(t, 1, nil, serve.RetryConfig{MaxAttempts: 2})
+	for _, tc := range []struct{ prefix, want string }{
+		{`{"tests":[]}`, "{\"error\":\"trailing data after JSON body\"}\n"},
+		{`{"tests":[`, "{\"error\":\"http: request body too large\"}\n"},
+	} {
+		for name, h := range map[string]http.Handler{"daemon": tf.single.Handler(), "gateway": tf.gw.Handler()} {
+			body := io.MultiReader(strings.NewReader(tc.prefix), &spaces{n: serve.MaxBodyBytes})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", body))
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != tc.want {
+				t.Errorf("%s, %q + %d spaces: %d %q, want 400 %q",
+					name, tc.prefix, serve.MaxBodyBytes, rec.Code, rec.Body, tc.want)
+			}
+		}
+	}
+}
+
+// spaces reads as n ASCII spaces.
+type spaces struct{ n int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), s.n)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	s.n -= k
+	return k, nil
+}
+
+// TestGatewayIngestFallbackSplit: a body the fast grammar declines (here a
+// case-folded key, which encoding/json accepts) is split by re-marshalling
+// the decoded records instead of copying their bytes, and a 3-shard fleet
+// fed it still answers exactly as one daemon fed the same body.
+func TestGatewayIngestFallbackSplit(t *testing.T) {
+	tf := newTestFleet(t, 3, nil, serve.RetryConfig{MaxAttempts: 2})
+	body := bytes.Replace(ingestBodyFor(t, 33, 41), []byte(`"line"`), []byte(`"Line"`), 1)
+	if ib, err := serve.ParseIngest(body); err != nil || ib.Spanned() {
+		t.Fatalf("want a body only the strict decoder takes (err %v)", err)
+	}
+	tf.bothModuloVersion(t, http.MethodPost, "/v1/ingest", body)
+	tf.both(t, http.MethodGet, "/v1/rank?week=41&n=40", nil)
+	tf.bothModuloVersion(t, http.MethodPost, "/v1/score",
+		[]byte(`{"examples":[{"line":0,"week":41},{"line":1,"week":41},{"line":2,"week":41},{"line":7,"week":40}]}`))
 }
 
 // TestGatewayShardedEqualsSingle pins the scale-out contract: a 3-shard

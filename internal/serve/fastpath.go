@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -25,10 +26,11 @@ import (
 // copied through it.
 
 // scratch bundles one request's reusable buffers: the raw body, the parsed
-// examples, and the rendered response.
+// examples or ingest records, and the rendered response.
 type scratch struct {
 	body     []byte
 	examples []ScoreExample
+	ingest   IngestBody
 	out      []byte
 }
 
@@ -36,7 +38,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // readBody slurps the request body into sc's pooled buffer under the same
 // MaxBodyBytes cap the legacy decoder enforced (and the same "http: request
-// body too large" error past it).
+// body too large" error past it). On a read error it also returns the bytes
+// read before it.
 func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	buf := sc.body
@@ -46,7 +49,9 @@ func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, erro
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			// Double, but never past the one byte beyond MaxBodyBytes that
+			// tells a body at the cap from one over it.
+			buf = slices.Grow(buf, min(len(buf), MaxBodyBytes+1-len(buf)))
 		}
 		n, err := rd.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -56,7 +61,7 @@ func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, erro
 		}
 		if err != nil {
 			sc.body = buf
-			return nil, err
+			return buf, err
 		}
 	}
 }
@@ -130,6 +135,272 @@ func ParseScoreExamples(body []byte) ([]ScoreExample, error) {
 	return req.Examples, nil
 }
 
+// Span is one record's byte range in an ingest body: body[Start:End], from
+// the record's '{' through its '}'.
+type Span struct{ Start, End int }
+
+// IngestBody is a /v1/ingest body decoded by ParseIngest. When the fast
+// grammar decoded it (Spanned), TestSpans[i] and TicketSpans[i] locate
+// Tests[i] and Tickets[i] in the body, so a record can be forwarded as the
+// bytes the client sent.
+type IngestBody struct {
+	IngestRequest
+	TestSpans   []Span
+	TicketSpans []Span
+	spanned     bool
+	floats      []float32 // the backing array every fast-decoded F is carved from
+}
+
+// Spanned reports whether the fast grammar decoded the body, so that the
+// spans locate every record. It is false after the DecodeStrict fallback.
+func (ib *IngestBody) Spanned() bool { return ib.spanned }
+
+// ParseIngest decodes a /v1/ingest body exactly as the daemon's handler
+// does: the fast grammar first, then DecodeStrict on any deviation, so the
+// accepted bodies, the decoded values and the error text are encoding/json's.
+func ParseIngest(body []byte) (*IngestBody, error) {
+	ib := new(IngestBody)
+	if err := ib.parse(body); err != nil {
+		return nil, err
+	}
+	return ib, nil
+}
+
+// IngestReadError is the error /v1/ingest answers when reading its body
+// failed after prefix: "trailing data after JSON body" when prefix already
+// holds a whole JSON value, otherwise the read error itself (past
+// MaxBodyBytes, "http: request body too large"). Both used to come from
+// DecodeStrict streaming the body, so it replays the bytes and then the
+// error into DecodeStrict, which picks between them exactly as before.
+func IngestReadError(prefix []byte, readErr error) error {
+	// A trailing run of one repeated whitespace byte decides nothing past
+	// its first byte: that byte either ends the scan (a syntax error, or the
+	// end of a top-level value) or leaves the scanner in a state the same
+	// byte leaves unchanged. Cutting the run there keeps a body padded past
+	// the cap from being copied a second time, into the decoder.
+	if n := len(prefix); n > 1 && isJSONSpace(prefix[n-1]) {
+		i := n - 1
+		for i > 0 && prefix[i-1] == prefix[n-1] {
+			i--
+		}
+		prefix = prefix[:i+1]
+	}
+	var req IngestRequest
+	if err := DecodeStrict(io.MultiReader(bytes.NewReader(prefix), errReader{readErr}), &req); err != nil {
+		return err
+	}
+	return readErr // unreachable: the stream ends in readErr, never in io.EOF
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// parse decodes body into ib, reusing ib's buffers. Records decoded by the
+// fast grammar point into those buffers (F into ib.floats), so a pooled
+// IngestBody's records must not outlive the request; the store copies the
+// values it keeps and the WAL encodes a batch before IngestTests returns.
+func (ib *IngestBody) parse(body []byte) error {
+	if ib.parseFast(body) {
+		return nil
+	}
+	// The fast grammar balked: the strict reflective decoder phrases the
+	// error, or decodes a valid body the grammar is too narrow for (escaped
+	// or case-folded keys, duplicate keys, null).
+	*ib = IngestBody{floats: ib.floats}
+	return DecodeStrict(bytes.NewReader(body), &ib.IngestRequest)
+}
+
+// parseFast is a hand parser for exactly the IngestRequest shape:
+//
+//	{"tests":[{"line":N,"week":N,"missing":B,"f":[X,...],"profile":N,"dslam":N,"usage":X}, ...],
+//	 "tickets":[{"id":N,"line":N,"day":N,"category":N}, ...]}
+//
+// with JSON whitespace anywhere, lowercase keys in any order, each at most
+// once per object and any of them absent, integers checked against their
+// field's range, and floats converted by strconv.ParseFloat(tok, 32), the
+// call encoding/json makes, after the token passed the JSON number grammar.
+// Anything else (unknown, escaped or case-folded keys, duplicate keys,
+// null, out-of-range or non-JSON numbers, trailing data) returns false for
+// DecodeStrict to decide, so the grammar only ever accepts what
+// encoding/json accepts, with the same values. Absent arrays stay nil and
+// present ones do not, as encoding/json leaves them.
+func (ib *IngestBody) parseFast(body []byte) bool {
+	ib.Tests, ib.Tickets = ib.Tests[:0], ib.Tickets[:0]
+	ib.TestSpans, ib.TicketSpans = ib.TestSpans[:0], ib.TicketSpans[:0]
+	ib.floats = ib.floats[:0]
+	ib.spanned = false
+	p := fastParser{b: body}
+	var haveTests, haveTickets bool
+	p.ws()
+	if !p.eat('{') {
+		return false
+	}
+	p.ws()
+	if !p.eat('}') {
+		for {
+			switch {
+			case !haveTests && p.lit(`"tests"`):
+				haveTests = true
+				if !p.colon() || !p.array(ib.test) {
+					return false
+				}
+			case !haveTickets && p.lit(`"tickets"`):
+				haveTickets = true
+				if !p.colon() || !p.array(ib.ticket) {
+					return false
+				}
+			default:
+				return false
+			}
+			if !p.more() {
+				break
+			}
+		}
+		if !p.eat('}') {
+			return false
+		}
+	}
+	p.ws()
+	if p.i != len(p.b) {
+		return false
+	}
+	switch {
+	case !haveTests:
+		ib.Tests = nil
+	case ib.Tests == nil:
+		ib.Tests = []TestRecord{}
+	}
+	switch {
+	case !haveTickets:
+		ib.Tickets = nil
+	case ib.Tickets == nil:
+		ib.Tickets = []TicketRecord{}
+	}
+	ib.spanned = true
+	return true
+}
+
+// Field names of the fast ingest grammar; a field's index is its bit in the
+// per-object duplicate mask.
+var (
+	testKeys   = []string{`"line"`, `"week"`, `"missing"`, `"f"`, `"profile"`, `"dslam"`, `"usage"`}
+	ticketKeys = []string{`"id"`, `"line"`, `"day"`, `"category"`}
+)
+
+// test parses one test record object and appends it and its span.
+func (ib *IngestBody) test(p *fastParser) bool {
+	start := p.i
+	var r TestRecord
+	ok := p.object(testKeys, func(k int) bool {
+		switch k {
+		case 0:
+			v, ok := p.int32()
+			r.Line = data.LineID(v)
+			return ok
+		case 1:
+			v, ok := p.integer()
+			r.Week = int(v)
+			return ok
+		case 2:
+			switch {
+			case p.lit("true"):
+				r.Missing = true
+			case p.lit("false"):
+			default:
+				return false
+			}
+			return true
+		case 3:
+			return ib.features(p, &r)
+		case 4:
+			v, ok := p.uint8()
+			r.Profile = v
+			return ok
+		case 5:
+			v, ok := p.int32()
+			r.DSLAM = v
+			return ok
+		default:
+			v, ok := p.float32()
+			r.Usage = v
+			return ok
+		}
+	})
+	if !ok {
+		return false
+	}
+	ib.Tests = appendDoubling(ib.Tests, r)
+	ib.TestSpans = appendDoubling(ib.TestSpans, Span{start, p.i})
+	return true
+}
+
+// ticket parses one ticket record object and appends it and its span.
+func (ib *IngestBody) ticket(p *fastParser) bool {
+	start := p.i
+	var r TicketRecord
+	ok := p.object(ticketKeys, func(k int) bool {
+		switch k {
+		case 0:
+			v, ok := p.integer()
+			r.ID = int(v)
+			return ok
+		case 1:
+			v, ok := p.int32()
+			r.Line = data.LineID(v)
+			return ok
+		case 2:
+			v, ok := p.integer()
+			r.Day = int(v)
+			return ok
+		default:
+			v, ok := p.uint8()
+			r.Category = v
+			return ok
+		}
+	})
+	if !ok {
+		return false
+	}
+	ib.Tickets = append(ib.Tickets, r)
+	ib.TicketSpans = append(ib.TicketSpans, Span{start, p.i})
+	return true
+}
+
+// features parses an "f" array into ib.floats and carves r.F from it. An
+// append that grows ib.floats leaves the records already carved pointing at
+// the old array, whose values no later append touches.
+func (ib *IngestBody) features(p *fastParser, r *TestRecord) bool {
+	start := len(ib.floats)
+	ok := p.array(func(p *fastParser) bool {
+		v, ok := p.float32()
+		ib.floats = appendDoubling(ib.floats, v)
+		return ok
+	})
+	if !ok {
+		return false
+	}
+	end := len(ib.floats)
+	r.F = ib.floats[start:end:end]
+	if r.F == nil {
+		r.F = []float32{}
+	}
+	return true
+}
+
+// appendDoubling appends v to s, doubling s's capacity when it is full.
+// append alone grows a large slice by about 1.25x, so decoding a bulk body
+// (tens of thousands of records) would copy the records and features
+// several times over and leave each outgrown array as garbage, which raised
+// the gateway's peak memory on a bulk load.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 256))
+	}
+	return append(s, v)
+}
+
 type fastParser struct {
 	b []byte
 	i int
@@ -137,15 +408,14 @@ type fastParser struct {
 
 // ws skips JSON whitespace; always true so it chains in && conditions.
 func (p *fastParser) ws() bool {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return true
-		}
+	for p.i < len(p.b) && isJSONSpace(p.b[p.i]) {
+		p.i++
 	}
 	return true
+}
+
+func isJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 func (p *fastParser) peek() byte {
@@ -232,19 +502,9 @@ func (p *fastParser) example() (ScoreExample, bool) {
 func (p *fastParser) integer() (int64, bool) {
 	neg := p.eat('-')
 	start := p.i
-	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
-		p.i++
-	}
+	p.i = skipDigits(p.b, start)
 	nd := p.i - start
-	if nd == 0 || nd > 18 || (nd > 1 && p.b[start] == '0') {
-		return 0, false
-	}
-	if p.i >= len(p.b) {
-		return 0, false // truncated body
-	}
-	switch p.b[p.i] {
-	case ' ', '\t', '\n', '\r', ',', '}', ']':
-	default:
+	if nd == 0 || nd > 18 || (nd > 1 && p.b[start] == '0') || !p.numberEnds() {
 		return 0, false
 	}
 	var v int64
@@ -255,6 +515,181 @@ func (p *fastParser) integer() (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// numberEnds reports whether the byte after a number token ends it; at the
+// end of the body the number is truncated.
+func (p *fastParser) numberEnds() bool {
+	if p.i >= len(p.b) {
+		return false
+	}
+	switch p.b[p.i] {
+	case ' ', '\t', '\n', '\r', ',', '}', ']':
+		return true
+	}
+	return false
+}
+
+// int32 parses an integer into an int32 field; out of range bails, as
+// encoding/json rejects it.
+func (p *fastParser) int32() (int32, bool) {
+	v, ok := p.integer()
+	if !ok || v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(v), true
+}
+
+// uint8 parses an integer into a uint8 field. encoding/json parses unsigned
+// fields with strconv.ParseUint, which refuses any sign, "-0" included.
+func (p *fastParser) uint8() (uint8, bool) {
+	if p.peek() == '-' {
+		return 0, false
+	}
+	v, ok := p.integer()
+	if !ok || v > math.MaxUint8 {
+		return 0, false
+	}
+	return uint8(v), true
+}
+
+// float32 parses a float32 field as encoding/json does: the token must match
+// the JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and converts with strconv.ParseFloat(tok, 32); a conversion error
+// (magnitude past float32) bails to the strict decoder. The grammar check
+// comes first because ParseFloat also takes "+1", ".5", "1.", "01", "0x1p3",
+// "Inf" and "NaN", which JSON does not.
+func (p *fastParser) float32() (float32, bool) {
+	b, i := p.b, p.i
+	start := i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return 0, false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return 0, false
+		}
+		i = j
+	}
+	p.i = i
+	if !p.numberEnds() {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 32)
+	if err != nil {
+		return 0, false
+	}
+	return float32(f), true
+}
+
+// skipDigits returns the index of the first non-digit in b at or after i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// colon skips the ':' between a key and its value and the whitespace around
+// it.
+func (p *fastParser) colon() bool {
+	p.ws()
+	if !p.eat(':') {
+		return false
+	}
+	p.ws()
+	return true
+}
+
+// more skips the whitespace after a value, then a ',' and the whitespace
+// after it; false, with the cursor on the byte that ended the value, when
+// there is no ','.
+func (p *fastParser) more() bool {
+	p.ws()
+	if !p.eat(',') {
+		return false
+	}
+	p.ws()
+	return true
+}
+
+// array parses one JSON array, each element by elem.
+func (p *fastParser) array(elem func(*fastParser) bool) bool {
+	if !p.eat('[') {
+		return false
+	}
+	p.ws()
+	if p.eat(']') {
+		return true
+	}
+	for {
+		if !elem(p) {
+			return false
+		}
+		if !p.more() {
+			return p.eat(']')
+		}
+	}
+}
+
+// object parses one JSON object whose keys all come from keys, each at most
+// once, calling value(k) with the cursor on key k's value. A repeated key
+// bails: encoding/json lets the last one win, which the strict decoder does.
+func (p *fastParser) object(keys []string, value func(k int) bool) bool {
+	if !p.eat('{') {
+		return false
+	}
+	p.ws()
+	if p.eat('}') {
+		return true
+	}
+	var seen uint32
+	for {
+		k := p.key(keys)
+		if k < 0 || seen&(1<<k) != 0 || !p.colon() || !value(k) {
+			return false
+		}
+		seen |= 1 << k
+		if !p.more() {
+			break
+		}
+	}
+	return p.eat('}')
+}
+
+// key matches one of keys (quoted names whose first letters differ) at the
+// cursor and returns its index, or -1.
+func (p *fastParser) key(keys []string) int {
+	if len(p.b)-p.i < 3 {
+		return -1
+	}
+	c := p.b[p.i+1]
+	for k, s := range keys {
+		if s[1] == c && p.lit(s) {
+			return k
+		}
+	}
+	return -1
 }
 
 // appendJSONFloat appends f exactly as encoding/json renders a float64:

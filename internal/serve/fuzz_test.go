@@ -11,48 +11,42 @@ import (
 	"nevermind/internal/data"
 )
 
-// FuzzIngestJSON drives the exact decode-and-ingest path /v1/ingest uses —
-// decodeStrict into ingestRequest, then both store ingest calls — with
-// arbitrary bodies. It pins the hardening the fuzzer originally motivated:
+// FuzzIngestJSON drives the decode-and-ingest path /v1/ingest uses —
+// ParseIngest into an IngestRequest, the whole-body ValidateIngest, then
+// both store ingest calls — with arbitrary bodies. It pins the hardening the
+// fuzzer originally motivated:
 //
 //   - no panic and no store mutation on any malformed body;
 //   - trailing data after the JSON value is rejected, not silently dropped
 //     (`{"tests":[...]}garbage` used to ingest the prefix and say 200);
 //   - a body that decodes but fails validation leaves the store untouched
-//     (version unchanged), so a bad batch can never half-apply.
+//     (version unchanged), so a bad batch can never half-apply;
+//   - ValidateIngest rejects exactly what the store's own validation
+//     rejects, with the same error text, which is what lets the handler
+//     validate the whole body before applying either half.
 func FuzzIngestJSON(f *testing.F) {
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"f":[1,2,3]}],"tickets":[{"id":1,"line":1,"day":274,"category":2}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40}]}garbage`)) // trailing-data regression
-	f.Add([]byte(`{"tests":[{"line":1,"week":40}]} {"tests":[]}`))
-	f.Add([]byte(`{"tests":[{"line":-1,"week":40}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":9999}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"f":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]}]}`))
-	f.Add([]byte(`{"tickets":[{"id":1,"line":1,"day":-3}]}`))
-	f.Add([]byte(`{"tickets":[{"id":1,"line":1,"day":4,"category":255}]}`))
-	f.Add([]byte(`{"unknown_field":true}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"tests":`))
-	f.Add([]byte("{\"tests\":[{\"line\":4194303,\"week\":51,\"missing\":true}]}")) // above MaxLineID: must reject
-	f.Add([]byte("{\"tests\":[{\"line\":131071,\"week\":51,\"missing\":true}]}"))  // MaxLineID-1: widest legal grid
+	for _, s := range ingestSeeds {
+		f.Add([]byte(s))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := NewStore(2)
-		var req IngestRequest
-		if err := DecodeStrict(bytes.NewReader(body), &req); err != nil {
+		ib, err := ParseIngest(body)
+		if err != nil {
 			// Rejected at decode: nothing may have been applied.
 			if s.Version() != 0 {
 				t.Fatalf("decode error but store version %d", s.Version())
 			}
 			return
 		}
-		// Decoded bodies must round-trip the strictness property: the decoder
-		// consumed exactly one JSON value, so no accepted body may contain a
-		// second one.
+		req := &ib.IngestRequest
+		verr := ValidateIngest(req)
 		v0 := s.Version()
 		nt, errT := s.IngestTests(req.Tests)
 		if errT != nil {
+			if errText(errT) != errText(verr) {
+				t.Fatalf("IngestTests rejected with %q, ValidateIngest said %q", errT, errText(verr))
+			}
 			if s.Version() != v0 {
 				t.Fatalf("IngestTests failed (%v) but bumped version", errT)
 			}
@@ -66,6 +60,9 @@ func FuzzIngestJSON(f *testing.F) {
 		}
 		v1 := s.Version()
 		nk, errK := s.IngestTickets(req.Tickets)
+		if errText(errK) != errText(verr) {
+			t.Fatalf("IngestTickets said %q, ValidateIngest said %q", errText(errK), errText(verr))
+		}
 		if errK != nil {
 			if s.Version() != v1 {
 				t.Fatalf("IngestTickets failed (%v) but bumped version", errK)

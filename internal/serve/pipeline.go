@@ -478,21 +478,20 @@ func IngestRequestFor(batch *sim.Batch) IngestRequest {
 // path the HTTP API uses and ranked from the snapshot its handlers serve.
 type storeBackend struct{ srv *Server }
 
-// Ingest leaves the store unchanged on any error (validation rejects whole
-// batches; injected faults fire before mutation).
+// Ingest applies the batch as /v1/ingest applies a body. A batch that fails
+// validation leaves the store unchanged: the whole batch is validated before
+// anything is applied. Injected faults differ by seam: the IngestTests seam
+// fires before the tests are applied, but the IngestTickets seam fires after
+// them, so a ticket fault leaves the tests applied at a new version (the
+// retry writes the same values again). Chaos schedules roll their faults in
+// that seam order, so it stays.
 func (b storeBackend) Ingest(_ context.Context, batch *sim.Batch) (Ingested, error) {
-	req, st := IngestRequestFor(batch), b.srv.Store()
-	tests, err := st.IngestTests(req.Tests)
+	req := IngestRequestFor(batch)
+	tests, tickets, err := b.srv.ingest(&req)
 	if err != nil {
 		return Ingested{}, err
 	}
-	tickets, err := st.IngestTickets(req.Tickets)
-	if err != nil {
-		return Ingested{}, err
-	}
-	b.srv.m.ingestedTests.Add(int64(tests))
-	b.srv.m.ingestedTickets.Add(int64(tickets))
-	return Ingested{Tests: tests, Tickets: tickets, Version: st.Version()}, nil
+	return Ingested{Tests: tests, Tickets: tickets, Version: b.srv.Store().Version()}, nil
 }
 
 // WaitFresh is stale while the snapshot trails version: a rebuild failed

@@ -324,10 +324,9 @@ func validateTicket(i int, r *TicketRecord) error {
 
 // ValidateIngest checks a full ingest body with exactly the validation the
 // store applies — tests first, then tickets, identical error text — without
-// touching any state. The fleet gateway runs it before scattering sub-batches
-// so a bad batch is rejected atomically fleet-wide; a single daemon would
-// apply valid tests before rejecting bad tickets, but the wire response is
-// byte-identical either way.
+// touching any state. The daemon runs it before applying either half and the
+// fleet gateway before scattering sub-batches, so a bad body is rejected
+// whole, on one node or fleet-wide.
 func ValidateIngest(req *IngestRequest) error {
 	for i := range req.Tests {
 		if err := validateTest(&req.Tests[i]); err != nil {
@@ -475,7 +474,7 @@ func (s *Store) IngestTests(recs []TestRecord) (int, error) {
 // touched cells for the delta log.
 func (s *Store) applyTests(recs []TestRecord) []cellKey {
 	// Group by shard so each shard's lock is taken once per batch.
-	byShard := make(map[uint32][]int)
+	byShard := make([][]int, len(s.shards))
 	maxWeek := -1
 	maxL := int64(-1)
 	for i := range recs {
@@ -490,6 +489,9 @@ func (s *Store) applyTests(recs []TestRecord) []cellKey {
 	}
 	cells := make([]cellKey, 0, len(recs))
 	for si, idxs := range byShard {
+		if len(idxs) == 0 {
+			continue
+		}
 		sh := &s.shards[si]
 		s.lockShard(sh, "ingest_tests")
 		for _, i := range idxs {
@@ -578,12 +580,19 @@ func (s *Store) applyTickets(recs []TicketRecord) []data.Ticket {
 	// Group by shard and take each shard's lock once per batch, exactly as
 	// IngestTests does. The per-record lock/unlock this replaced made a
 	// large ticket batch pay thousands of lock round-trips on one shard.
-	byShard := make(map[uint32][]int)
+	// Shards go in index order and records in input order within a shard,
+	// so the added list, and with it the WAL ticket record, is a function
+	// of the batch.
+	byShard := make([][]int, len(s.shards))
 	for i := range recs {
-		byShard[uint32(recs[i].Line)&s.mask] = append(byShard[uint32(recs[i].Line)&s.mask], i)
+		si := uint32(recs[i].Line) & s.mask
+		byShard[si] = append(byShard[si], i)
 	}
 	var added []data.Ticket
 	for si, idxs := range byShard {
+		if len(idxs) == 0 {
+			continue
+		}
 		sh := &s.shards[si]
 		s.lockShard(sh, "ingest_tickets")
 		for _, i := range idxs {
