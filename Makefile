@@ -55,16 +55,17 @@ bench:
 
 # Machine-readable numbers for the ML and serving hot paths (reference vs
 # compiled scoring, training, transform, the serve endpoint, scoring after a
-# feed re-ingest, the full-vs-delta snapshot rebuild, the fleet gateway's
-# scatter-gather score/rank paths, the /v1/ingest body decoder, the
-# durability axis: ingest with the WAL off vs on, one checkpoint write, and
-# cold-restart recovery, the replication axis: follower catch-up over HTTP
-# plus gateway scoring through a replica, and the drift loop: the per-week
-# monitor fold plus one week of challenger shadow scoring);
+# feed re-ingest, the base-less vs base-derived snapshot publish, the store's
+# heap per line, the fleet gateway's scatter-gather score/rank paths, the
+# /v1/ingest body decoder, the durability axis: ingest with the WAL off vs
+# on, one checkpoint write, and cold-restart recovery, the replication
+# axis: follower catch-up over HTTP plus gateway scoring through a replica,
+# and the drift loop: the per-week monitor fold plus one week of challenger
+# shadow scoring);
 # BENCH_ml.json is committed so perf diffs show up in review. GOMAXPROCS=1
 # keeps benchmark names free of the -N CPU suffix bench-diff matches on.
 bench-json:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
 
 # Perf gate: rerun the compiled-scoring, serve-score and score-after-ingest
 # benchmarks (among others; see the script) and fail on a >50% ns/op
@@ -147,15 +148,17 @@ fuzz:
 
 # Fuzz the serving API's decoders — the ingest body decoder, differentially
 # (the hand decoder against encoding/json: same verdict, error text and
-# float bits) and end to end into a store, and the rank query parser — plus
-# the checkpoint loader, the WAL segment decoder, the replication stream
-# decoder (arbitrary bytes must decode consistently and never panic or
-# corrupt a store), and the drift loop's two parsers: /v1/drift query params
-# and the -drift.thresholds spec. Seed corpora for all eight also run
-# (instantly) in plain `make test`.
+# float bits) and end to end into a store, the score body decoder,
+# differentially (same verdict, error text, values and nil-versus-empty),
+# and the rank query parser — plus the checkpoint loader, the WAL segment
+# decoder, the replication stream decoder (arbitrary bytes must decode
+# consistently and never panic or corrupt a store), and the drift loop's
+# two parsers: /v1/drift query params and the -drift.thresholds spec. Seed
+# corpora for all nine also run (instantly) in plain `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestJSON -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestDecode -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/serve/ -fuzz FuzzScoreDecode -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzRankParams -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzCheckpointDecode -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/wal/ -fuzz FuzzWALDecode -fuzztime 20s -run '^$$'

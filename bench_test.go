@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -676,8 +677,9 @@ func benchSnapshotStore(b *testing.B, lines int) *serve.Store {
 	return s
 }
 
-// BenchmarkSnapshotFull measures the from-scratch snapshot rebuild across
-// populations: O(lines x weeks) by construction.
+// BenchmarkSnapshotFull measures a publish with no base snapshot (the first
+// after start, restore or ResetSnapshotCache) across populations: it derives
+// presence, line lists and attributes from every line but copies no cell.
 func BenchmarkSnapshotFull(b *testing.B) {
 	for _, lines := range []int{4000, 16000, 64000} {
 		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
@@ -694,10 +696,11 @@ func BenchmarkSnapshotFull(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotDelta measures the incremental path the steady state
-// actually runs: ingest a small batch, apply its delta onto the cached
-// snapshot. Time per op should stay flat as the population grows — the
-// apply copies only the chunks the batch touched.
+// BenchmarkSnapshotDelta measures the path the steady state actually runs:
+// ingest a small batch, then publish from the cached snapshot. Time per op
+// should stay flat as the population grows — the ingest copies only the
+// grid chunks it writes, and the publish derives only what those lines
+// changed.
 func BenchmarkSnapshotDelta(b *testing.B) {
 	const batch = 200
 	for _, lines := range []int{4000, 16000, 64000} {
@@ -725,6 +728,34 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 					b.Fatal("nil snapshot")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkStoreFootprint reports the heap a store holds per line
+// (heap-B/line: live heap after runtime.GC, against the heap before the
+// store was built) once the benchSnapshotStore fixture (weeks 30-43) is
+// ingested and published once, at three populations, so memory growth with
+// the population is a measured curve. It uses only exported API, so it runs
+// unchanged on older trees.
+func BenchmarkStoreFootprint(b *testing.B) {
+	for _, lines := range []int{16000, 32000, 64000} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			var perLine float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				s := benchSnapshotStore(b, lines)
+				if s.Snapshot() == nil {
+					b.Fatal("nil snapshot")
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(s)
+				perLine = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(lines)
+			}
+			b.ReportMetric(perLine, "heap-B/line")
 		})
 	}
 }

@@ -36,7 +36,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "simulated %d lines: %d measurements, %d tickets (%d customer-edge), %d dispatches, %d outages in %v\n",
-		ds.NumLines, len(ds.Measurements), len(ds.Tickets), edge, len(ds.Notes), len(ds.Outages),
+		ds.NumLines, data.Weeks*ds.NumLines, len(ds.Tickets), edge, len(ds.Notes), len(ds.Outages),
 		time.Since(t0).Round(time.Millisecond))
 
 	if err := ds.Save(*out); err != nil {

@@ -76,11 +76,7 @@ func TestAssessKnownStream(t *testing.T) {
 		DSLAMOf:   []int32{0, 0},
 		NumDSLAMs: 1,
 		UsageOf:   []float32{0.5, 0.5},
-	}
-	for w := 0; w < data.Weeks; w++ {
-		for l := 0; l < 2; l++ {
-			ds.Measurements = append(ds.Measurements, data.Measurement{Line: data.LineID(l), Week: w})
-		}
+		Grid:      data.NewMeasurementGrid(2),
 	}
 	ds.Tickets = []data.Ticket{
 		{ID: 0, Line: 0, Day: 100, Category: data.CatCustomerEdge},
@@ -116,9 +112,7 @@ func TestAssessWindowFilters(t *testing.T) {
 	m := Default()
 	ds := &data.Dataset{
 		NumLines: 1, ProfileOf: []uint8{0}, DSLAMOf: []int32{0}, NumDSLAMs: 1, UsageOf: []float32{0.5},
-	}
-	for w := 0; w < data.Weeks; w++ {
-		ds.Measurements = append(ds.Measurements, data.Measurement{Line: 0, Week: w})
+		Grid: data.NewMeasurementGrid(1),
 	}
 	ds.Tickets = []data.Ticket{
 		{ID: 0, Line: 0, Day: 50, Category: data.CatCustomerEdge},

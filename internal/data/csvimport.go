@@ -15,14 +15,13 @@ import (
 // database, not from these files).
 
 // ReadMeasurementsCSV parses a measurement export. Rows may arrive in any
-// order; the result is the dense week-major grid Dataset expects, with
-// numLines inferred from the largest line id. Rows absent from the file
-// stay Missing.
-func ReadMeasurementsCSV(r io.Reader) ([]Measurement, int, error) {
+// order; the result is the grid Dataset expects, as wide as the largest line
+// id plus one. Rows absent from the file stay Missing.
+func ReadMeasurementsCSV(r io.Reader) (*MeasurementGrid, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
-		return nil, 0, fmt.Errorf("data: measurements header: %w", err)
+		return nil, fmt.Errorf("data: measurements header: %w", err)
 	}
 	col := map[string]int{}
 	for i, h := range header {
@@ -30,22 +29,19 @@ func ReadMeasurementsCSV(r io.Reader) ([]Measurement, int, error) {
 	}
 	for _, need := range []string{"line", "week", "missing"} {
 		if _, ok := col[need]; !ok {
-			return nil, 0, fmt.Errorf("data: measurements CSV missing %q column", need)
+			return nil, fmt.Errorf("data: measurements CSV missing %q column", need)
 		}
 	}
 	featCol := make([]int, NumBasicFeatures)
 	for f := 0; f < NumBasicFeatures; f++ {
 		i, ok := col[BasicFeatureNames[f]]
 		if !ok {
-			return nil, 0, fmt.Errorf("data: measurements CSV missing feature %q", BasicFeatureNames[f])
+			return nil, fmt.Errorf("data: measurements CSV missing feature %q", BasicFeatureNames[f])
 		}
 		featCol[f] = i
 	}
 
-	type rec struct {
-		m Measurement
-	}
-	var rows []rec
+	var rows []Measurement
 	maxLine := -1
 	for lineNo := 2; ; lineNo++ {
 		row, err := cr.Read()
@@ -53,51 +49,42 @@ func ReadMeasurementsCSV(r io.Reader) ([]Measurement, int, error) {
 			break
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("data: measurements row %d: %w", lineNo, err)
+			return nil, fmt.Errorf("data: measurements row %d: %w", lineNo, err)
 		}
 		var m Measurement
-		id, err := strconv.Atoi(row[col["line"]])
+		id, err := strconv.ParseInt(row[col["line"]], 10, 32) // must fit LineID
 		if err != nil || id < 0 {
-			return nil, 0, fmt.Errorf("data: row %d: bad line id %q", lineNo, row[col["line"]])
+			return nil, fmt.Errorf("data: row %d: bad line id %q", lineNo, row[col["line"]])
 		}
 		m.Line = LineID(id)
 		week, err := strconv.Atoi(row[col["week"]])
 		if err != nil || week < 0 || week >= Weeks {
-			return nil, 0, fmt.Errorf("data: row %d: bad week %q", lineNo, row[col["week"]])
+			return nil, fmt.Errorf("data: row %d: bad week %q", lineNo, row[col["week"]])
 		}
 		m.Week = week
 		missing, err := strconv.ParseBool(row[col["missing"]])
 		if err != nil {
-			return nil, 0, fmt.Errorf("data: row %d: bad missing flag %q", lineNo, row[col["missing"]])
+			return nil, fmt.Errorf("data: row %d: bad missing flag %q", lineNo, row[col["missing"]])
 		}
 		m.Missing = missing
 		for f := 0; f < NumBasicFeatures; f++ {
 			v, err := strconv.ParseFloat(row[featCol[f]], 32)
 			if err != nil {
-				return nil, 0, fmt.Errorf("data: row %d: bad %s value %q", lineNo, BasicFeatureNames[f], row[featCol[f]])
+				return nil, fmt.Errorf("data: row %d: bad %s value %q", lineNo, BasicFeatureNames[f], row[featCol[f]])
 			}
 			m.F[f] = float32(v)
 		}
-		if id > maxLine {
-			maxLine = id
-		}
-		rows = append(rows, rec{m})
+		maxLine = max(maxLine, int(id))
+		rows = append(rows, m)
 	}
 	if maxLine < 0 {
-		return nil, 0, fmt.Errorf("data: measurements CSV has no rows")
+		return nil, fmt.Errorf("data: measurements CSV has no rows")
 	}
-
-	numLines := maxLine + 1
-	grid := make([]Measurement, Weeks*numLines)
-	for w := 0; w < Weeks; w++ {
-		for l := 0; l < numLines; l++ {
-			grid[w*numLines+l] = Measurement{Line: LineID(l), Week: w, Missing: true}
-		}
+	grid := NewMeasurementGrid(maxLine + 1)
+	for _, m := range rows {
+		*grid.At(m.Line, m.Week) = m
 	}
-	for _, r := range rows {
-		grid[r.m.Week*numLines+int(r.m.Line)] = r.m
-	}
-	return grid, numLines, nil
+	return grid, nil
 }
 
 // ReadTicketsCSV parses a ticket export (with joined disposition-note
@@ -132,9 +119,9 @@ func ReadTicketsCSV(r io.Reader) ([]Ticket, []DispositionNote, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("data: row %d: bad ticket id", lineNo)
 		}
-		lid, err := strconv.Atoi(row[col["line"]])
+		lid, err := strconv.ParseInt(row[col["line"]], 10, 32)
 		if err != nil || lid < 0 {
-			return nil, nil, fmt.Errorf("data: row %d: bad line id", lineNo)
+			return nil, nil, fmt.Errorf("data: row %d: bad line id %q", lineNo, row[col["line"]])
 		}
 		day, err := strconv.Atoi(row[col["day"]])
 		if err != nil || day < 0 || day >= DaysInYear {

@@ -16,19 +16,21 @@ func TestMeasurementsCSVRoundTrip(t *testing.T) {
 	if err := d.WriteMeasurementsCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	grid, numLines, err := ReadMeasurementsCSV(&buf)
+	grid, err := ReadMeasurementsCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if numLines != d.NumLines {
-		t.Fatalf("inferred %d lines, want %d", numLines, d.NumLines)
+	if grid.NumLines != d.NumLines {
+		t.Fatalf("inferred %d lines, want %d", grid.NumLines, d.NumLines)
 	}
-	if len(grid) != len(d.Measurements) {
-		t.Fatalf("grid size %d, want %d", len(grid), len(d.Measurements))
+	if err := grid.Validate(d.NumLines); err != nil {
+		t.Fatal(err)
 	}
-	for i := range grid {
-		if grid[i] != d.Measurements[i] {
-			t.Fatalf("record %d differs after round trip: %+v vs %+v", i, grid[i], d.Measurements[i])
+	for w := 0; w < Weeks; w++ {
+		for l := LineID(0); int(l) < d.NumLines; l++ {
+			if *grid.At(l, w) != *d.At(l, w) {
+				t.Fatalf("record (%d,%d) differs after round trip: %+v vs %+v", l, w, *grid.At(l, w), *d.At(l, w))
+			}
 		}
 	}
 }
@@ -71,16 +73,16 @@ func TestReadMeasurementsCSVFillsAbsentRowsAsMissing(t *testing.T) {
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
 	one := strings.Join(lines[:2], "") // header + first record
-	grid, numLines, err := ReadMeasurementsCSV(strings.NewReader(one))
+	grid, err := ReadMeasurementsCSV(strings.NewReader(one))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if numLines != 1 {
-		t.Fatalf("inferred %d lines from a single line-0 row", numLines)
+	if grid.NumLines != 1 {
+		t.Fatalf("inferred %d lines from a single line-0 row", grid.NumLines)
 	}
 	present := 0
-	for i := range grid {
-		if !grid[i].Missing {
+	for w := 0; w < Weeks; w++ {
+		if !grid.At(0, w).Missing {
 			present++
 		}
 	}
@@ -96,9 +98,13 @@ func TestReadMeasurementsCSVErrors(t *testing.T) {
 		"bad line id": "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\nx,0,false" + strings.Repeat(",0", NumBasicFeatures) + "\n",
 		"bad week":    "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n0,99,false" + strings.Repeat(",0", NumBasicFeatures) + "\n",
 		"no rows":     "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n",
+		// Ids past int32 used to wrap into another line (2147483648 became
+		// line -2147483648) and size the grid from the unwrapped value.
+		"line past int32":  measurementRow("2147483648"),
+		"line past uint32": measurementRow("4294967297"),
 	}
 	for name, csv := range cases {
-		if _, _, err := ReadMeasurementsCSV(strings.NewReader(csv)); err == nil {
+		if _, err := ReadMeasurementsCSV(strings.NewReader(csv)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -111,10 +117,19 @@ func TestReadTicketsCSVErrors(t *testing.T) {
 		"bad category": header + "0,1,5,2009-01-06,unknown,,,\n",
 		"bad day":      header + "0,1,999,x,billing,,,\n",
 		"bad disp":     header + "0,1,5,x,customer-edge,zzz,6,1\n",
+		// Ids past int32 used to wrap: 4294967297 came back as line 1.
+		"line past int32":  header + "0,2147483648,5,x,billing,,,\n",
+		"line past uint32": header + "0,4294967297,5,x,billing,,,\n",
 	}
 	for name, csv := range cases {
 		if _, _, err := ReadTicketsCSV(strings.NewReader(csv)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
+}
+
+// measurementRow is a one-row measurement CSV for line id.
+func measurementRow(id string) string {
+	return "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n" +
+		id + ",0,false" + strings.Repeat(",0", NumBasicFeatures) + "\n"
 }

@@ -12,23 +12,17 @@ import (
 // stream, the dispatch disposition notes, subscriber profiles, and the DSLAM
 // outage log used by the §5.2 analyses.
 //
-// Measurements form a dense grid: exactly one record per (week, line), with
-// Missing set when the modem was off. The grid is stored week-major so a
-// record is addressable in constant time.
+// Grid holds the weekly line tests: exactly one record per (week, line),
+// with Missing set when the modem was off, addressable in constant time
+// through At.
 type Dataset struct {
 	NumLines  int
 	ProfileOf []uint8 // service tier per line, index into Profiles
 	DSLAMOf   []int32 // DSLAM id per line
 	NumDSLAMs int
 
-	Measurements []Measurement // week-major grid: index = week*NumLines + line
-	// Grid, when set, replaces Measurements as the measurement storage: the
-	// same dense grid in copy-on-write chunks (see MeasurementGrid). Exactly
-	// one of the two representations should be populated; At serves from
-	// whichever is. The serving store's snapshots use Grid so successive
-	// generations share untouched chunks; offline datasets stay flat.
-	Grid    *MeasurementGrid
-	Tickets []Ticket // sorted by arrival day
+	Grid    *MeasurementGrid // the line-test grid, NumLines wide
+	Tickets []Ticket         // sorted by arrival day
 	Notes   []DispositionNote
 	Outages []Outage
 
@@ -51,10 +45,7 @@ type AwaySpan struct {
 // At returns the measurement for (line, week). It panics on out-of-range
 // arguments; use it only on complete grids (Validate checks this).
 func (d *Dataset) At(line LineID, week int) *Measurement {
-	if d.Grid != nil {
-		return d.Grid.At(line, week)
-	}
-	return &d.Measurements[week*d.NumLines+int(line)]
+	return d.Grid.At(line, week)
 }
 
 // Profile returns the subscriber profile of a line.
@@ -69,22 +60,8 @@ func (d *Dataset) Validate() error {
 	if len(d.ProfileOf) != d.NumLines || len(d.DSLAMOf) != d.NumLines || len(d.UsageOf) != d.NumLines {
 		return fmt.Errorf("data: per-line slices must have length %d", d.NumLines)
 	}
-	if d.Grid != nil {
-		if err := d.Grid.Validate(d.NumLines); err != nil {
-			return err
-		}
-	} else {
-		if len(d.Measurements) != Weeks*d.NumLines {
-			return fmt.Errorf("data: measurement grid has %d records, want %d", len(d.Measurements), Weeks*d.NumLines)
-		}
-		for w := 0; w < Weeks; w++ {
-			for l := 0; l < d.NumLines; l++ {
-				m := &d.Measurements[w*d.NumLines+l]
-				if m.Week != w || m.Line != LineID(l) {
-					return fmt.Errorf("data: grid record at (%d,%d) holds (%d,%d)", w, l, m.Week, m.Line)
-				}
-			}
-		}
+	if err := d.Grid.Validate(d.NumLines); err != nil {
+		return err
 	}
 	if !sort.SliceIsSorted(d.Tickets, func(i, j int) bool { return d.Tickets[i].Day < d.Tickets[j].Day }) {
 		return fmt.Errorf("data: tickets not sorted by day")

@@ -18,13 +18,14 @@ func tinyDataset() *Dataset {
 		DSLAMOf:     []int32{0, 0, 1},
 		NumDSLAMs:   2,
 		UsageOf:     []float32{0.9, 0.5, 0.1},
+		Grid:        NewMeasurementGrid(3),
 		TrafficSeed: 77,
 	}
 	for w := 0; w < Weeks; w++ {
 		for l := 0; l < 3; l++ {
 			m := Measurement{Line: LineID(l), Week: w}
 			m.F[FDnBR] = float32(700 + 10*l)
-			d.Measurements = append(d.Measurements, m)
+			*d.At(LineID(l), w) = m
 		}
 	}
 	d.Tickets = []Ticket{
@@ -47,7 +48,7 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 
 func TestValidateRejectsCorruptGrid(t *testing.T) {
 	d := tinyDataset()
-	d.Measurements[5].Week = 99
+	d.At(2, 1).Week = 99
 	if err := d.Validate(); err == nil {
 		t.Fatal("corrupt grid passed validation")
 	}
@@ -191,7 +192,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumLines != d.NumLines || len(got.Measurements) != len(got.Measurements) {
+	if got.NumLines != d.NumLines || got.Grid.NumLines != d.Grid.NumLines {
 		t.Fatal("round trip lost shape")
 	}
 	if got.At(1, 3).F[FDnBR] != d.At(1, 3).F[FDnBR] {

@@ -23,23 +23,20 @@ func FuzzReadMeasurementsCSV(f *testing.F) {
 	f.Add("line,week,missing\n0,0,false\n")
 	f.Add("")
 	f.Add("line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n-1,0,false" + strings.Repeat(",0", NumBasicFeatures))
+	f.Add(measurementRow("2147483648"))
+	f.Add(measurementRow("4294967297"))
 
 	f.Fuzz(func(t *testing.T, csv string) {
-		grid, numLines, err := ReadMeasurementsCSV(strings.NewReader(csv))
+		grid, err := ReadMeasurementsCSV(strings.NewReader(csv))
 		if err != nil {
 			return
 		}
-		if numLines <= 0 {
-			t.Fatalf("accepted input with %d lines", numLines)
+		if grid.NumLines <= 0 {
+			t.Fatalf("accepted input with %d lines", grid.NumLines)
 		}
-		if len(grid) != Weeks*numLines {
-			t.Fatalf("grid %d records for %d lines", len(grid), numLines)
-		}
-		for i := range grid {
-			m := &grid[i]
-			if int(m.Line) < 0 || int(m.Line) >= numLines || m.Week < 0 || m.Week >= Weeks {
-				t.Fatalf("out-of-range record %+v", m)
-			}
+		// Validate checks every cell sits at its own (line, week).
+		if err := grid.Validate(grid.NumLines); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -54,6 +51,8 @@ func FuzzReadTicketsCSV(f *testing.F) {
 	f.Add("ticket,line,day,date,category,disposition,dispatch_day,tests_run\n1,2,3,x,billing,,,\n")
 	f.Add("garbage")
 	f.Add("")
+	f.Add("ticket,line,day,date,category,disposition,dispatch_day,tests_run\n1,2147483648,3,x,billing,,,\n")
+	f.Add("ticket,line,day,date,category,disposition,dispatch_day,tests_run\n1,4294967297,3,x,billing,,,\n")
 
 	f.Fuzz(func(t *testing.T, csv string) {
 		tickets, notes, err := ReadTicketsCSV(strings.NewReader(csv))
@@ -63,6 +62,9 @@ func FuzzReadTicketsCSV(f *testing.F) {
 		for _, tk := range tickets {
 			if tk.Day < 0 || tk.Day >= DaysInYear {
 				t.Fatalf("ticket day %d accepted", tk.Day)
+			}
+			if tk.Line < 0 {
+				t.Fatalf("ticket line %d accepted", tk.Line)
 			}
 		}
 		byID := map[int]bool{}

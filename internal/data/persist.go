@@ -62,17 +62,18 @@ func (d *Dataset) WriteMeasurementsCSV(w io.Writer) error {
 		return err
 	}
 	row := make([]string, len(header))
-	for i := range d.Measurements {
-		m := &d.Measurements[i]
-		row[0] = strconv.Itoa(int(m.Line))
-		row[1] = strconv.Itoa(m.Week)
-		row[2] = DateString(m.Day())
-		row[3] = strconv.FormatBool(m.Missing)
-		for f := 0; f < NumBasicFeatures; f++ {
-			row[4+f] = strconv.FormatFloat(float64(m.F[f]), 'g', 6, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
+	for _, chunk := range d.Grid.Chunks { // week-major, lines ascending
+		for _, m := range chunk {
+			row[0] = strconv.Itoa(int(m.Line))
+			row[1] = strconv.Itoa(m.Week)
+			row[2] = DateString(m.Day())
+			row[3] = strconv.FormatBool(m.Missing)
+			for f := 0; f < NumBasicFeatures; f++ {
+				row[4+f] = strconv.FormatFloat(float64(m.F[f]), 'g', 6, 64)
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()

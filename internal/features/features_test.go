@@ -443,7 +443,7 @@ func TestEncodeDeterministicProperty(t *testing.T) {
 // float64 addition order visible: weeks 10, 11, 12 in order sum to 0, while
 // two of the six orders (the 1 added after the large values cancel) give 1.
 func TestFallbackSumsWeeksInOrder(t *testing.T) {
-	ds := &data.Dataset{NumLines: 1, Measurements: make([]data.Measurement, data.Weeks)}
+	ds := &data.Dataset{NumLines: 1, Grid: data.NewMeasurementGrid(1)}
 	for w, v := range map[int]float32{10: 1e17, 11: 1, 12: -1e17} {
 		ds.At(0, w).F[0] = v
 	}
@@ -489,17 +489,19 @@ func TestGroupsPartitionColumns(t *testing.T) {
 func TestTimeSeriesDetectsRegimeChange(t *testing.T) {
 	res := cached
 	ds := res.Dataset
-	// Copy the dataset's grid so the shared fixture is not polluted.
+	// Write a copy-on-write copy of the dataset's grid so the shared fixture
+	// is not polluted.
 	mod := *ds
-	mod.Measurements = append([]data.Measurement(nil), ds.Measurements...)
+	mod.Grid = ds.Grid.ShareCopy()
 	line := data.LineID(7)
 	week := 40
-	m := &mod.Measurements[week*mod.NumLines+int(line)]
+	m := *ds.At(line, week)
 	if m.Missing {
 		m.Missing = false
 		m.F[data.FState] = 1
 	}
 	m.F[data.FDnNMR] = -5 // collapse vs its own history
+	mod.Grid.SetCOW(make([]bool, len(mod.Grid.Chunks)), line, week, m)
 	ix := data.NewTicketIndex(&mod)
 	enc, err := Encode(&mod, ix, []Example{{Line: line, Week: week}}, Config{})
 	if err != nil {

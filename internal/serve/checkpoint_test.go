@@ -298,25 +298,25 @@ func assertValidRestore(t *testing.T, s *Store) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		for l, ls := range sh.lines {
-			if l < 0 || l >= MaxLineID || uint32(l)&s.mask != uint32(i) {
+			if l < 0 || l >= MaxLineID || s.shardIndex(l) != i {
 				t.Fatalf("line %d restored into shard %d", l, i)
 			}
 			if int(ls.profile) >= len(data.Profiles) || ls.dslam < 0 {
 				t.Fatalf("line %d has profile %d, DSLAM %d", l, ls.profile, ls.dslam)
 			}
 			seen := 0
-			for w := range ls.seen {
-				if !ls.seen[w] {
+			for w := 0; w < data.Weeks; w++ {
+				if ls.seen&(1<<w) == 0 {
 					continue
 				}
 				seen++
-				if m := ls.tests[w]; m.Line != l || m.Week != w {
+				if m := *s.grid.At(l, w); m.Line != l || m.Week != w {
 					t.Fatalf("line %d week %d holds a cell for line %d week %d", l, w, m.Line, m.Week)
 				}
 				latest = max(latest, int64(w))
 			}
-			if seen == 0 {
-				t.Fatalf("line %d restored with no week", l)
+			if seen == 0 || ls.seen>>data.Weeks != 0 {
+				t.Fatalf("line %d restored with weeks %b", l, ls.seen)
 			}
 			maxLine = max(maxLine, int64(l))
 		}
@@ -324,26 +324,41 @@ func assertValidRestore(t *testing.T, s *Store) {
 			t.Fatalf("shard %d: %d tickets, %d dedup keys", i, len(sh.tickets), len(sh.dedup))
 		}
 		for _, tk := range sh.tickets {
-			if _, ok := sh.dedup[tk]; !ok || tk.Line < 0 || tk.Line >= MaxLineID || uint32(tk.Line)&s.mask != uint32(i) ||
+			if _, ok := sh.dedup[tk]; !ok || tk.Line < 0 || tk.Line >= MaxLineID || s.shardIndex(tk.Line) != i ||
 				tk.Day < 0 || tk.Day >= data.DaysInYear || tk.Category > data.CatOther {
 				t.Fatalf("shard %d holds bad ticket %+v", i, tk)
 			}
 		}
 	}
-	if s.Version() == 0 || int64(s.LatestWeek()) != latest || int64(s.GridLines())-1 != maxLine {
+	if s.Version() == 0 || int64(s.LatestWeek()) != latest || int64(s.GridLines())-1 != maxLine || s.grid.NumLines != s.GridLines() {
 		t.Fatalf("restored version %d, latest week %d (content %d), grid lines %d (content max line %d)",
 			s.Version(), s.LatestWeek(), latest, s.GridLines(), maxLine)
 	}
 }
 
-// storeState is a store's full shard content in canonical form, for
-// comparing two stores of any shard counts.
-func storeState(s *Store) (map[data.LineID]lineState, []data.Ticket) {
-	lines := make(map[data.LineID]lineState)
+// lineContent is one line's stored content: its attributes and the cells of
+// the weeks it has seen.
+type lineContent struct {
+	profile uint8
+	dslam   int32
+	usage   float32
+	tests   []data.Measurement
+}
+
+// storeState is a store's full content in canonical form, for comparing two
+// stores of any shard counts.
+func storeState(s *Store) (map[data.LineID]lineContent, []data.Ticket) {
+	lines := make(map[data.LineID]lineContent)
 	var tickets []data.Ticket
 	for i := range s.shards {
 		for l, ls := range s.shards[i].lines {
-			lines[l] = *ls
+			c := lineContent{profile: ls.profile, dslam: ls.dslam, usage: ls.usage}
+			for w := 0; w < data.Weeks; w++ {
+				if ls.seen&(1<<w) != 0 {
+					c.tests = append(c.tests, *s.grid.At(l, w))
+				}
+			}
+			lines[l] = c
 		}
 		tickets = append(tickets, s.shards[i].tickets...)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"nevermind/internal/data"
 	"nevermind/internal/rng"
+	"nevermind/internal/wal"
 )
 
 // TestIngestTicketsLocksOncePerShard pins the batching fix: a ticket batch
@@ -304,5 +306,260 @@ func (s *Store) snapshotKindCount() snapshotKinds {
 	return snapshotKinds{
 		full:  s.m.snapshotBuilds.With("full").Value(),
 		delta: s.m.snapshotBuilds.With("delta").Value(),
+	}
+}
+
+// modelLine is the map model's view of one line: the attributes the store
+// must show and every cell ingested for it.
+type modelLine struct {
+	profile uint8
+	dslam   int32
+	usage   float32
+	cells   map[int]data.Measurement
+}
+
+// storeModel replays ingest batches into plain maps, with the store's rules
+// for attributes (a Missing record only seeds a new line's) and tickets
+// (exact duplicates ingest once).
+type storeModel struct {
+	lines   map[data.LineID]*modelLine
+	tickets map[data.Ticket]bool
+}
+
+func (m *storeModel) apply(tests []TestRecord, tickets []TicketRecord) {
+	for _, r := range tests {
+		ml := m.lines[r.Line]
+		if ml == nil {
+			ml = &modelLine{cells: make(map[int]data.Measurement)}
+			m.lines[r.Line] = ml
+			ml.profile, ml.dslam, ml.usage = r.Profile, r.DSLAM, r.Usage
+		} else if !r.Missing {
+			ml.profile, ml.dslam, ml.usage = r.Profile, r.DSLAM, r.Usage
+		}
+		c := data.Measurement{Line: r.Line, Week: r.Week, Missing: r.Missing}
+		copy(c.F[:], r.F)
+		ml.cells[r.Week] = c
+	}
+	for _, r := range tickets {
+		m.tickets[data.Ticket{ID: r.ID, Line: r.Line, Day: r.Day, Category: data.TicketCategory(r.Category)}] = true
+	}
+}
+
+// assertSnapshotMatchesModel requires sn to hold exactly the model: every
+// cell (a cell no record reached is the Missing default), presence, line
+// lists, attributes, DSLAM count and the tickets whose line fits the grid.
+func assertSnapshotMatchesModel(t *testing.T, tag string, sn *Snapshot, m *storeModel) {
+	t.Helper()
+	n := 0
+	var lines []data.LineID
+	maxDSLAM := int32(0)
+	for l, ml := range m.lines {
+		n = max(n, int(l)+1)
+		lines = append(lines, l)
+		maxDSLAM = max(maxDSLAM, ml.dslam)
+	}
+	slices.Sort(lines)
+	if sn.DS.NumLines != n || sn.DS.NumDSLAMs != int(maxDSLAM)+1 || !slices.Equal(sn.Lines, lines) {
+		t.Fatalf("%s: %d lines, %d DSLAMs, lines %v; model %d, %d, %v", tag,
+			sn.DS.NumLines, sn.DS.NumDSLAMs, sn.Lines, n, maxDSLAM+1, lines)
+	}
+	if err := sn.DS.Validate(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	for w := 0; w < data.Weeks; w++ {
+		var at []data.LineID
+		for l := data.LineID(0); int(l) < n; l++ {
+			ml := m.lines[l]
+			want, ok := data.Measurement{Line: l, Week: w, Missing: true}, false
+			if ml != nil {
+				if c, in := ml.cells[w]; in {
+					want, ok = c, true
+					at = append(at, l)
+				}
+			}
+			if got := *sn.DS.At(l, w); got != want {
+				t.Fatalf("%s: cell (%d,%d) = %+v, model %+v", tag, l, w, got, want)
+			}
+			if sn.Present[w][l] != ok {
+				t.Fatalf("%s: presence (%d,%d) = %v, model %v", tag, l, w, sn.Present[w][l], ok)
+			}
+		}
+		if !slices.Equal(sn.LinesAt(w), at) {
+			t.Fatalf("%s: week %d lines %v, model %v", tag, w, sn.LinesAt(w), at)
+		}
+	}
+	for l := data.LineID(0); int(l) < n; l++ {
+		var want modelLine
+		if ml := m.lines[l]; ml != nil {
+			want = *ml
+		}
+		if sn.DS.ProfileOf[l] != want.profile || sn.DS.DSLAMOf[l] != want.dslam || sn.DS.UsageOf[l] != want.usage {
+			t.Fatalf("%s: line %d attributes (%d,%d,%v), model (%d,%d,%v)", tag, l,
+				sn.DS.ProfileOf[l], sn.DS.DSLAMOf[l], sn.DS.UsageOf[l], want.profile, want.dslam, want.usage)
+		}
+	}
+	var tickets []data.Ticket
+	edge := make(map[data.LineID]int)
+	for tk := range m.tickets {
+		if int(tk.Line) < n {
+			tickets = append(tickets, tk)
+			if tk.Category == data.CatCustomerEdge {
+				edge[tk.Line]++
+			}
+		}
+	}
+	sortTickets(tickets)
+	if !slices.Equal(sn.DS.Tickets, tickets) {
+		t.Fatalf("%s: %d tickets, model %d", tag, len(sn.DS.Tickets), len(tickets))
+	}
+	for l := data.LineID(0); int(l) < n; l++ {
+		if sn.Ix.Count(l) != edge[l] {
+			t.Fatalf("%s: ticket index counts %d customer-edge tickets on line %d, model %d", tag, sn.Ix.Count(l), l, edge[l])
+		}
+	}
+}
+
+// TestPublishedSnapshotsImmutable: a published snapshot never changes. A
+// randomized run — overwritten cells, Missing flips, attribute changes,
+// grid widening across chunks and shards, tickets on lines past the grid,
+// WAL-record replay, cache resets and injected publish faults — keeps every
+// snapshot any read returned. At the end each one must still equal a map
+// model of the records ingested up to its version, cell for cell: a later
+// write leaking into a chunk a snapshot shares, or a cell landing anywhere
+// but its own (line, week), both show.
+func TestPublishedSnapshotsImmutable(t *testing.T) {
+	s := NewStore(4)
+	var seq atomic.Uint64
+	s.SetFaults(&FaultHooks{SnapshotBuild: func(uint64) error {
+		if rng.Derive(11, 0xfa, seq.Add(1)).Float64() < 0.3 {
+			return Transient(fmt.Errorf("injected publish fault"))
+		}
+		return nil
+	}})
+	type batch struct {
+		version uint64
+		tests   []TestRecord
+		tickets []TicketRecord
+	}
+	var history []batch
+	var kept []*Snapshot
+	r := rng.Derive(11, 0)
+	weeks := []int{3, 20, 40, 41, 42, 43}
+	maxLine := 40
+	for step := 0; step < 160; step++ {
+		switch k := r.Intn(6); k {
+		case 0, 1, 2: // tests, live or replayed from a WAL record
+			if r.Bool(0.15) {
+				maxLine = min(maxLine+1+r.Intn(700), 3*data.GridChunkLines)
+			}
+			recs := make([]TestRecord, 1+r.Intn(12))
+			for i := range recs {
+				recs[i] = TestRecord{
+					Line: data.LineID(r.Intn(maxLine)), Week: weeks[r.Intn(len(weeks))],
+					Missing: r.Bool(0.25), F: []float32{float32(step), float32(i), float32(r.Intn(3))},
+					Profile: uint8(r.Intn(len(data.Profiles))), DSLAM: int32(r.Intn(9)), Usage: float32(r.Intn(4)) / 4,
+				}
+			}
+			if k == 2 {
+				rec := &wal.Record{Version: s.Version() + 1, Op: wal.OpTests}
+				for _, t := range recs {
+					rec.Tests = append(rec.Tests, wal.TestRec{Line: t.Line, Week: t.Week, Missing: t.Missing,
+						Profile: t.Profile, DSLAM: t.DSLAM, Usage: t.Usage, F: t.F})
+				}
+				if err := s.ApplyWALRecord(rec); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := s.IngestTests(recs); err != nil {
+				t.Fatal(err)
+			}
+			history = append(history, batch{version: s.Version(), tests: recs})
+		case 3: // tickets, some past the grid, some repeated
+			recs := make([]TicketRecord, 1+r.Intn(5))
+			for i := range recs {
+				recs[i] = TicketRecord{ID: r.Intn(40), Line: data.LineID(r.Intn(maxLine + 300)),
+					Day: r.Intn(data.DaysInYear), Category: uint8(r.Intn(int(data.CatOther) + 1))}
+			}
+			if _, err := s.IngestTickets(recs); err != nil {
+				t.Fatal(err)
+			}
+			history = append(history, batch{version: s.Version(), tickets: recs})
+		case 4:
+			if r.Bool(0.2) {
+				s.ResetSnapshotCache()
+			}
+			fallthrough
+		default:
+			if sn := s.Snapshot(); sn != nil && (len(kept) == 0 || kept[len(kept)-1] != sn) {
+				kept = append(kept, sn)
+			}
+		}
+	}
+	if len(kept) < 20 {
+		t.Fatalf("the run kept only %d snapshots", len(kept))
+	}
+	for i, sn := range kept {
+		m := &storeModel{lines: make(map[data.LineID]*modelLine), tickets: make(map[data.Ticket]bool)}
+		for _, b := range history {
+			if b.version <= sn.Version {
+				m.apply(b.tests, b.tickets)
+			}
+		}
+		assertSnapshotMatchesModel(t, fmt.Sprintf("snapshot %d (version %d)", i, sn.Version), sn, m)
+	}
+}
+
+// TestWriteTrackingBounded: what a store tracks between publishes is
+// bounded by the grid, not by the number of ingests. Re-ingesting the same
+// cells and tickets a thousand times leaves one dirty entry per line and no
+// new ticket, and the next publish still carries the lines' last values.
+func TestWriteTrackingBounded(t *testing.T) {
+	s := NewStore(4)
+	recs := make([]TestRecord, 64)
+	for i := range recs {
+		recs[i] = TestRecord{Line: data.LineID(97 * i), Week: 40 + i%3, F: []float32{1}}
+	}
+	tickets := []TicketRecord{{ID: 1, Line: 5, Day: 200}, {ID: 2, Line: 9000, Day: 201}} // 9000: past the grid
+	if _, err := s.IngestTests(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.IngestTickets(tickets); err != nil {
+		t.Fatal(err)
+	}
+	s.Snapshot()
+	tracked := func() (dirty, tks int) {
+		for i := range s.shards {
+			dirty += len(s.shards[i].dirty)
+			tks += len(s.shards[i].tickets)
+		}
+		return dirty, tks
+	}
+	if d, _ := tracked(); d != 0 {
+		t.Fatalf("%d dirty lines right after a publish", d)
+	}
+	for rep := 0; rep < 1000; rep++ {
+		for i := range recs {
+			recs[i].F[0] = float32(rep)
+		}
+		if _, err := s.IngestTests(recs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.IngestTickets(tickets); err != nil {
+			t.Fatal(err)
+		}
+		if d, tk := tracked(); d != len(recs) || tk != len(tickets) {
+			t.Fatalf("after %d re-ingests: %d dirty lines, %d tickets; want %d and %d", rep+1, d, tk, len(recs), len(tickets))
+		}
+	}
+	sn := s.Snapshot()
+	if sn.Version != s.Version() {
+		t.Fatalf("snapshot at version %d, store at %d", sn.Version, s.Version())
+	}
+	for _, r := range recs {
+		if got := sn.DS.At(r.Line, r.Week).F[0]; got != 999 {
+			t.Fatalf("line %d week %d holds %v after the last re-ingest, want 999", r.Line, r.Week, got)
+		}
+	}
+	if d, _ := tracked(); d != 0 {
+		t.Fatalf("%d dirty lines after the publish", d)
 	}
 }

@@ -238,7 +238,7 @@ func (d *Durability) observeFsync(dur time.Duration) {
 	}
 }
 
-// sink is the store's WAL hook: invoked under deltaMu for every version
+// sink is the store's WAL hook: invoked under walMu for every version
 // bump, so appends arrive in exact version order.
 func (d *Durability) sink(version uint64, tests []TestRecord, tickets []data.Ticket) {
 	rec := &wal.Record{Version: version}

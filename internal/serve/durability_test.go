@@ -327,13 +327,13 @@ func TestKickDuringCheckpointWritesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lines 8k+1..8k+7 never hash to shard 0, so ingest proceeds while the
-	// test holds shard 0's lock.
+	// Lines of grid chunks 1..7 never belong to shard 0, so ingest proceeds
+	// while the test holds shard 0's lock.
 	ingest := func(i int) {
 		t.Helper()
 		var recs []TestRecord
 		for k := 0; k < 16; k++ {
-			line := data.LineID(8*k + 1 + (i+k)%7)
+			line := data.LineID(data.GridChunkLines*(1+(i+k)%7) + k)
 			recs = append(recs, TestRecord{Line: line, Week: 30 + i%8, F: []float32{float32(i), float32(k)}})
 		}
 		if _, err := s.IngestTests(recs); err != nil {

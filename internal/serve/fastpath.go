@@ -66,64 +66,65 @@ func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, erro
 	}
 }
 
-// parseScoreBody is a hand parser for exactly the happy-path /v1/score body:
+// parseScoreBody is a hand parser for exactly the /v1/score body shape,
 //
 //	{"examples":[{"line":N,"week":M}, ...]}
 //
-// with arbitrary JSON whitespace, fields in either order, repeated fields
-// last-wins and absent fields zero — the cases encoding/json accepts for the
-// same struct. Anything else (unknown keys, floats, escaped key names,
-// out-of-int32 line ids, trailing data) returns ok == false and the caller
-// falls back to the strict reflective decoder, which reproduces the exact
-// error text the API has always returned. The fallback also re-parses valid
-// bodies this grammar is too narrow for (e.g. "line" as a key), so the
-// fast path can only ever accept what encoding/json would.
+// on the same object/array/key helpers as the ingest grammar: JSON
+// whitespace anywhere, keys each at most once per object and any of them
+// absent, "line" within int32. It appends the examples to exs. Anything else
+// (unknown, escaped or repeated keys, null, floats, out-of-range numbers,
+// trailing data) returns ok == false for DecodeStrict to decide, so the
+// grammar only ever accepts what encoding/json accepts, with the same
+// values: an absent "examples" decodes to nil, an empty array to an empty
+// slice.
 func parseScoreBody(body []byte, exs []ScoreExample) ([]ScoreExample, bool) {
 	p := fastParser{b: body}
+	present := false
 	p.ws()
-	if !p.eat('{') || !p.ws() || !p.lit(`"examples"`) || !p.ws() || !p.eat(':') || !p.ws() || !p.eat('[') {
-		return nil, false
-	}
-	p.ws()
-	if p.peek() == ']' {
-		p.i++
-	} else {
-		for {
-			e, ok := p.example()
-			if !ok {
-				return nil, false
-			}
+	ok := p.object(scoreKeys, func(int) bool {
+		present = true
+		return p.array(func(p *fastParser) bool {
+			var e ScoreExample
+			ok := p.object(exampleKeys, func(k int) bool {
+				if k == 0 {
+					v, ok := p.int32()
+					e.Line = data.LineID(v)
+					return ok
+				}
+				v, ok := p.integer()
+				e.Week = int(v)
+				return ok
+			})
 			exs = append(exs, e)
-			p.ws()
-			c := p.next()
-			if c == ',' {
-				p.ws()
-				continue
-			}
-			if c == ']' {
-				break
-			}
-			return nil, false
-		}
-	}
+			return ok
+		})
+	})
 	p.ws()
-	if !p.eat('}') {
+	switch {
+	case !ok || p.i != len(p.b):
 		return nil, false
-	}
-	p.ws()
-	if p.i != len(p.b) {
-		return nil, false
+	case !present:
+		return nil, true
+	case exs == nil:
+		return []ScoreExample{}, true
 	}
 	return exs, true
 }
 
-// ParseScoreExamples parses a /v1/score body exactly as the shard handler
-// does: the fast hand parser first, then the strict reflective decoder on
-// any deviation so a malformed body yields the identical error. The fleet
-// gateway uses it to partition a request by ring ownership without changing
-// a single accepted-or-rejected decision relative to a bare daemon.
-func ParseScoreExamples(body []byte) ([]ScoreExample, error) {
-	if exs, ok := parseScoreBody(body, nil); ok {
+// Field names of the fast score grammar.
+var (
+	scoreKeys   = []string{`"examples"`}
+	exampleKeys = []string{`"line"`, `"week"`}
+)
+
+// parseScore parses a /v1/score body into exs's backing array: the fast
+// grammar first, then the strict reflective decoder on any deviation, so a
+// malformed body gets the exact error text it always has and a merely
+// unusual one (escaped keys, a repeated "examples") parses as encoding/json
+// defines it.
+func parseScore(body []byte, exs []ScoreExample) ([]ScoreExample, error) {
+	if exs, ok := parseScoreBody(body, exs[:0]); ok {
 		return exs, nil
 	}
 	var req struct {
@@ -133,6 +134,14 @@ func ParseScoreExamples(body []byte) ([]ScoreExample, error) {
 		return nil, err
 	}
 	return req.Examples, nil
+}
+
+// ParseScoreExamples parses a /v1/score body exactly as the shard handler
+// does (parseScore). The fleet gateway uses it to partition a request by
+// ring ownership without changing a single accepted-or-rejected decision
+// relative to a bare daemon.
+func ParseScoreExamples(body []byte) ([]ScoreExample, error) {
+	return parseScore(body, nil)
 }
 
 // Span is one record's byte range in an ingest body: body[Start:End], from
@@ -425,12 +434,6 @@ func (p *fastParser) peek() byte {
 	return 0
 }
 
-func (p *fastParser) next() byte {
-	c := p.peek()
-	p.i++
-	return c
-}
-
 func (p *fastParser) eat(c byte) bool {
 	if p.i < len(p.b) && p.b[p.i] == c {
 		p.i++
@@ -445,55 +448,6 @@ func (p *fastParser) lit(s string) bool {
 	}
 	p.i += len(s)
 	return true
-}
-
-func (p *fastParser) example() (ScoreExample, bool) {
-	var e ScoreExample
-	if !p.eat('{') {
-		return e, false
-	}
-	p.ws()
-	if p.peek() == '}' {
-		p.i++
-		return e, true
-	}
-	for {
-		isLine := false
-		switch {
-		case p.lit(`"line"`):
-			isLine = true
-		case p.lit(`"week"`):
-		default:
-			return e, false
-		}
-		p.ws()
-		if !p.eat(':') {
-			return e, false
-		}
-		p.ws()
-		v, ok := p.integer()
-		if !ok {
-			return e, false
-		}
-		if isLine {
-			if v < math.MinInt32 || v > math.MaxInt32 {
-				return e, false // legacy decoder errors; let it phrase that
-			}
-			e.Line = data.LineID(v)
-		} else {
-			e.Week = int(v)
-		}
-		p.ws()
-		c := p.next()
-		if c == ',' {
-			p.ws()
-			continue
-		}
-		if c == '}' {
-			return e, true
-		}
-		return e, false
-	}
 }
 
 // integer parses a plain JSON integer: optional '-', no leading zeros, at

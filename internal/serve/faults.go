@@ -25,11 +25,11 @@ type FaultHooks struct {
 	IngestTests func(n int) error
 	// IngestTickets is the same seam on the ticket path.
 	IngestTickets func(n int) error
-	// SnapshotBuild runs before a snapshot rebuild; an error fails the
-	// rebuild, and the store keeps serving its last good snapshot.
+	// SnapshotBuild runs before a snapshot publish; an error fails the
+	// publish, and the store keeps serving its last good snapshot.
 	SnapshotBuild func(version uint64) error
-	// ShardRead runs per shard during a snapshot build, inside the shard's
-	// read-locked section — the slow-disk / slow-NUMA-node stand-in.
+	// ShardRead runs per shard during a snapshot publish, while the publish
+	// holds the shard locks — the slow-disk / slow-NUMA-node stand-in.
 	ShardRead func(shard int)
 	// ReloadProbe runs before the hot-reload equality probe; an error
 	// aborts the reload and the old model generation keeps serving.

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"net/url"
 	"os"
+	"slices"
 	"testing"
 
 	"nevermind/internal/data"
@@ -91,6 +92,53 @@ func FuzzIngestJSON(f *testing.F) {
 				t.Fatalf("snapshot has %d tickets, only %d were stored", got, nk)
 			}
 		}
+	})
+}
+
+// FuzzScoreDecode holds the /v1/score decoder to encoding/json: on any body,
+// ParseScoreExamples (the gateway's entry) and parseScore into a reused
+// buffer (the handler's pooled path) must each agree with DecodeStrict alone
+// on accept or reject, on the error text, on every example, and on nil
+// versus empty.
+func FuzzScoreDecode(f *testing.F) {
+	for _, s := range []string{
+		`{"examples":[{"line":1,"week":40},{"week":41,"line":2}]}`,
+		" {\"examples\" : [ { \"line\" : 3 ,\n\"week\" : 7 } ] }\t",
+		`{"examples":[{"line":1,"line":2,"week":3}]}`,
+		`{"examples":[{"line":1,"week":3,"week":4}]}`,
+		`{"examples":[{"line":1}],"examples":[{"week":2}]}`,
+		`null`, `{"examples":null}`, `{"examples":[null]}`, `{}`, `{"examples":[]}`, `{"examples":[{}]}`,
+		`{"examples":[{"line":-0,"week":-0}]}`,
+		`{"examples":[{"line":2147483647,"week":1}]}`,
+		`{"examples":[{"line":2147483648,"week":1}]}`,
+		`{"examples":[{"line":-2147483649,"week":1}]}`,
+		`{"examples":[{"line":1.5,"week":1}]}`, `{"examples":[{"line":1,"week":1e1}]}`,
+		`{"examples":[{"line":01,"week":1}]}`, `{"examples":[{"line":1,"week":99999999999999999999}]}`,
+		`{"examples":[{"\u006cine":1,"week":1}]}`, `{"Examples":[{"LINE":1,"week":1}]}`,
+		`{"examples":[{"line":1,"week":1}]}trailing`, `{"examples":[{"line":1,"week":1}]} {}`,
+		`{"examples":[{"line":1,"week":1,"extra":0}]}`, `{"examples":[1]}`, `[]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want struct {
+			Examples []ScoreExample `json:"examples"`
+		}
+		wantErr := DecodeStrict(bytes.NewReader(body), &want)
+		check := func(name string, got []ScoreExample, err error) {
+			t.Helper()
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("%s error %q, DecodeStrict error %q", name, errText(err), errText(wantErr))
+			}
+			if err == nil && ((got == nil) != (want.Examples == nil) || !slices.Equal(got, want.Examples)) {
+				t.Fatalf("%s decoded %#v, DecodeStrict %#v", name, got, want.Examples)
+			}
+		}
+		got, err := ParseScoreExamples(body)
+		check("ParseScoreExamples", got, err)
+		got, err = parseScore(body, make([]ScoreExample, 2, 8))
+		check("pooled parseScore", got, err)
 	})
 }
 

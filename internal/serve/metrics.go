@@ -55,9 +55,9 @@ type metrics struct {
 	stageDur          *obs.HistogramVec // per pipeline stage: duration
 
 	storeIngestDur   *obs.HistogramVec // ingest_tests / ingest_tickets
-	storeBuildDur    *obs.Histogram    // snapshot full grid rebuild
-	snapshotApplyDur *obs.Histogram    // snapshot delta apply
-	snapshotBuilds   *obs.CounterVec   // successful builds: full / delta
+	storeBuildDur    *obs.Histogram    // snapshot publish with no base
+	snapshotApplyDur *obs.Histogram    // snapshot publish from a base
+	snapshotBuilds   *obs.CounterVec   // successful publishes: full (no base) / delta
 	shardContended   *obs.CounterVec   // shard-lock acquisitions that had to wait
 
 	scoreDur  *obs.Histogram // compiled-scorer batch calls (ml hook)

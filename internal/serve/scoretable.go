@@ -22,10 +22,10 @@ import (
 // used (ScoreExamplesIx over single-week examples), so a table lookup is
 // bit-identical to an uncached PredictExamples for the same example.
 //
-// A delta-applied snapshot inherits its base's tables instead of starting
-// empty (see carryTables): a table the delta cannot reach is shared by
-// pointer, and one it can reach is patched from its base by rescoring only
-// the lines the delta made dirty.
+// A snapshot published from a base inherits the base's tables instead of
+// starting empty (see carryTables): a table the writes in between cannot
+// reach is shared by pointer, and one they can reach is patched from its
+// base by rescoring only the lines they made dirty.
 type weekTable struct {
 	week int
 
@@ -209,17 +209,17 @@ func (t *weekTable) rankedLines(sn *Snapshot) []data.LineID {
 	return t.ranked
 }
 
-// tableDelta is what one delta apply changed, in the terms a week table's
-// scores depend on: line l's week-w score reads l's cells at weeks ≤ w, its
-// attributes, its tickets up to w's Saturday, and week w's imputation
-// fallback (the mean over every line's week-w cell).
+// tableDelta is what one publish changed against its base, in the terms a
+// week table's scores depend on: line l's week-w score reads l's cells at
+// weeks ≤ w, its attributes, its tickets up to w's Saturday, and week w's
+// imputation fallback (the mean over every line's week-w cell).
 type tableDelta struct {
-	cells   []cellKey
-	tickets []data.Ticket // tickets the delta added to the snapshot
+	cells   []lineWrite   // each written line once, with its written weeks
+	tickets []data.Ticket // tickets the publish added to the snapshot
 	attrs   []data.LineID // lines whose profile, DSLAM or usage changed
 }
 
-// carryTables decides what the snapshot sn, derived from base by d, inherits
+// carryTables decides what the snapshot sn, published from base with d, inherits
 // of the week tables read on base. Per table at week w:
 //
 //   - share (same pointer, ranked order included) when d touched no cell at a
@@ -274,8 +274,9 @@ func carryTables(base, sn *Snapshot, d tableDelta) map[tabKey]*weekTable {
 func (d *tableDelta) dirtyLines(w int) []data.LineID {
 	sat := data.SaturdayOf(w)
 	var lines []data.LineID
+	upTo := uint64(1)<<(w+1) - 1 // weeks 0..w
 	for _, c := range d.cells {
-		if int(c.week) <= w {
+		if c.weeks&upTo != 0 {
 			lines = append(lines, c.line)
 		}
 	}
@@ -298,7 +299,7 @@ func (d *tableDelta) dirtyLines(w int) []data.LineID {
 // touchesWeek reports whether the delta touched any week-w cell.
 func (d *tableDelta) touchesWeek(w int) bool {
 	for _, c := range d.cells {
-		if int(c.week) == w {
+		if c.weeks&(1<<w) != 0 {
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -467,22 +466,13 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	exs, ok := parseScoreBody(body, sc.examples[:0])
-	if ok {
-		sc.examples = exs // keep the grown backing array for the pool
-	} else {
-		// The fast grammar balked: rerun the strict reflective decoder so a
-		// malformed body gets the exact error text it always has, and a
-		// merely unusual body (escaped keys, duplicate "examples") still
-		// parses as encoding/json defines it.
-		var req struct {
-			Examples []ScoreExample `json:"examples"`
-		}
-		if err := DecodeStrict(bytes.NewReader(body), &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		exs = req.Examples
+	exs, err := parseScore(body, sc.examples)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if cap(exs) > cap(sc.examples) {
+		sc.examples = exs[:0] // keep the grown backing array for the pool
 	}
 	if len(exs) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("no examples"))

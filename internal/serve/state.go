@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"nevermind/internal/data"
@@ -56,10 +57,8 @@ func (s *Store) WriteCheckpoint(dir string, after uint64) (uint64, error) {
 		s.rlockShard(sh, "checkpoint")
 		ls := sh.lines[l]
 		cl = wal.CheckpointLine{Line: l, Profile: ls.profile, DSLAM: ls.dslam, Usage: ls.usage, Tests: cl.Tests[:0]}
-		for w := range ls.seen {
-			if ls.seen[w] {
-				cl.Tests = append(cl.Tests, ls.tests[w])
-			}
+		for seen := ls.seen; seen != 0; seen &= seen - 1 {
+			cl.Tests = append(cl.Tests, *s.grid.At(l, bits.TrailingZeros64(seen)))
 		}
 		sh.mu.RUnlock()
 		if err := cw.Line(&cl); err != nil {
@@ -92,8 +91,9 @@ func (s *Store) ReadCheckpoint(r io.Reader) (uint64, error) {
 }
 
 // restore runs a checkpoint read into a fresh store and moves its shards
-// into s only once the whole file has loaded, so a failed read leaves s
-// empty.
+// and grid into s only once the whole file has loaded, so a failed read
+// leaves s empty. s has never published a snapshot (it was empty), so its
+// first publish derives everything from the restored state.
 func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, error) {
 	if s.version.Load() != 0 || s.maxLine.Load() != -1 {
 		return 0, fmt.Errorf("serve: checkpoint restore into a non-empty store (version %d)", s.version.Load())
@@ -103,36 +103,40 @@ func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, 
 	if err != nil {
 		return 0, err
 	}
+	s.lockAll("checkpoint")
 	for i := range s.shards {
 		sh, src := &s.shards[i], &fresh.shards[i]
-		sh.mu.Lock()
 		sh.lines, sh.tickets, sh.dedup = src.lines, src.tickets, src.dedup
-		sh.mu.Unlock()
 	}
+	s.grid, s.owned = fresh.grid, fresh.owned
 	s.version.Store(v)
 	s.latestWeek.Store(fresh.latestWeek.Load())
 	s.maxLine.Store(fresh.maxLine.Load())
+	s.unlockAll()
 	return v, nil
 }
 
 // restorer is the wal.CheckpointSink that seats checkpoint records into a
-// private store, deriving its watermarks from the lines. The wal loader has
-// already checked order and the data model's ranges; the restorer adds the
-// store's own bound on line ids.
+// private store, widening its grid line by line (lines arrive ascending) and
+// deriving its watermarks from the lines. The wal loader has already checked
+// order and the data model's ranges, and that each cell names its line; the
+// restorer adds the store's own bound on line ids.
 type restorer struct{ s *Store }
 
 func (r restorer) Line(l *wal.CheckpointLine) error {
 	if l.Line >= MaxLineID {
 		return fmt.Errorf("serve: checkpoint line %d outside [0,%d)", l.Line, MaxLineID)
 	}
+	s := r.s
+	s.owned = s.grid.Grow(int(l.Line)+1, s.owned)
 	ls := &lineState{profile: l.Profile, dslam: l.DSLAM, usage: l.Usage}
 	for _, m := range l.Tests {
-		ls.tests[m.Week] = m
-		ls.seen[m.Week] = true
+		*s.grid.At(l.Line, m.Week) = m // every chunk of a private grid is owned
+		ls.seen |= 1 << m.Week
 	}
-	r.s.shardOf(l.Line).lines[l.Line] = ls
-	r.s.latestWeek.Store(max(r.s.latestWeek.Load(), int64(l.Tests[len(l.Tests)-1].Week)))
-	r.s.maxLine.Store(int64(l.Line)) // lines arrive ascending
+	s.shardOf(l.Line).lines[l.Line] = ls
+	s.latestWeek.Store(max(s.latestWeek.Load(), int64(l.Tests[len(l.Tests)-1].Week)))
+	s.maxLine.Store(int64(l.Line))
 	return nil
 }
 
@@ -150,15 +154,14 @@ func (r restorer) Ticket(t data.Ticket) error {
 // catch-up: the batch is applied through the same shard-apply helpers live
 // ingest uses, and the store version is pinned to the record's version (no
 // counter bump, no WAL sink — the record is already durable on the log that
-// shipped it). The delta log IS fed, so a follower applying a stream of
-// records keeps its snapshot rebuilds incremental. Records must arrive in
-// version order; the WAL replay and stream decoders guarantee contiguity.
+// shipped it). The applied cells are marked written exactly as live ingest
+// marks them, so a follower applying a stream of records keeps its publishes
+// incremental. Records must arrive in version order; the WAL replay and
+// stream decoders guarantee contiguity.
 func (s *Store) ApplyWALRecord(rec *wal.Record) error {
 	if v := s.version.Load(); rec.Version != v+1 {
 		return fmt.Errorf("serve: replay version %d onto store at %d", rec.Version, v)
 	}
-	var cells []cellKey
-	var added []data.Ticket
 	switch rec.Op {
 	case wal.OpTests:
 		recs := make([]TestRecord, len(rec.Tests))
@@ -171,7 +174,7 @@ func (s *Store) ApplyWALRecord(rec *wal.Record) error {
 				return fmt.Errorf("serve: replay version %d: %w", rec.Version, err)
 			}
 		}
-		cells = s.applyTests(recs)
+		s.applyTests(recs)
 	case wal.OpTickets:
 		recs := make([]TicketRecord, len(rec.Tickets))
 		for i, t := range rec.Tickets {
@@ -182,11 +185,11 @@ func (s *Store) ApplyWALRecord(rec *wal.Record) error {
 		}
 		// A replayed ticket batch may be wholly covered by the checkpoint the
 		// replay started from (WriteCheckpoint captures at least its
-		// version); the version still advances, through an empty delta.
-		added = s.applyTickets(recs)
+		// version); the version still advances.
+		s.applyTickets(recs)
 	default:
 		return fmt.Errorf("serve: replay version %d: unknown op %d", rec.Version, rec.Op)
 	}
-	s.pinVersion(rec.Version, cells, added)
+	s.version.Store(rec.Version)
 	return nil
 }

@@ -9,7 +9,9 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,13 +20,14 @@ import (
 	"nevermind/internal/data"
 )
 
-// MaxLineID bounds accepted line ids. The snapshot materialises a dense
-// (weeks x lines) grid of 120-byte Measurements, so a single wild id in an
-// otherwise-valid batch dictates the grid width: the bound is the allocation
-// budget. 1<<17 caps the worst-case grid at 52*131072*120B ~ 0.8 GB and
-// leaves 6.5x headroom over the 20k-line default population; the previous
-// 1<<22 admitted a ~26 GB grid from one record, which the ingest fuzzer
-// demonstrated as a minutes-long stall.
+// MaxLineID bounds accepted line ids. The store keeps every test cell in a
+// dense (weeks x lines) grid of 120-byte Measurements as wide as the highest
+// line id seen, so a single wild id in an otherwise-valid batch dictates the
+// grid width: the bound is the allocation budget. 1<<17 caps the worst-case
+// grid at 52*131072*120B ~ 0.8 GB and leaves 6.5x headroom over the
+// 20k-line default population; the previous 1<<22 admitted a ~26 GB grid
+// from one record, which the ingest fuzzer demonstrated as a minutes-long
+// stall.
 const MaxLineID = 1 << 17
 
 // TestRecord is one ingested weekly line-test result: the measurement plus
@@ -53,20 +56,24 @@ type TicketRecord struct {
 	Category uint8       `json:"category"`
 }
 
-// lineState is everything the store knows about one line: its static
-// attributes and every week's test result seen so far (at-most-one record
-// per week; re-ingesting a week overwrites, so replayed feeds converge).
+// lineState is what the store knows about one line besides its test cells,
+// which live in the store's grid: its static attributes and two week
+// bitmasks. Bit w of seen is set once a week-w record has arrived (at most
+// one record per week; re-ingesting a week overwrites its cell, so replayed
+// feeds converge). Bit w of dirty is set while the week-w cell holds a write
+// no published snapshot has seen.
 type lineState struct {
-	profile uint8
-	dslam   int32
-	usage   float32
-	seen    [data.Weeks]bool
-	tests   [data.Weeks]data.Measurement
+	profile     uint8
+	dslam       int32
+	usage       float32
+	seen, dirty uint64
 }
 
-// shard is one lock domain of the store. Lines hash to shards by id, so
-// concurrent ingest batches for different line ranges proceed in parallel;
-// tickets live with the shard of their line.
+// shard is one lock domain of the store. It owns the lines of every grid
+// chunk whose index is its own modulo the shard count, so each chunk is
+// written under exactly one lock and concurrent ingest batches for
+// different line ranges proceed in parallel; tickets live with the shard of
+// their line.
 type shard struct {
 	mu      sync.RWMutex
 	lines   map[data.LineID]*lineState
@@ -74,45 +81,31 @@ type shard struct {
 	// dedup guards against replayed ticket feeds: the exact same ticket
 	// (id, line, day, category) ingests once.
 	dedup map[data.Ticket]struct{}
+	// dirty lists every line with a dirty week, once; published counts the
+	// tickets (a prefix of tickets) a publish has already taken. Both reset
+	// at each publish, so neither grows with re-ingests of the same cells.
+	dirty     []data.LineID
+	published int
 }
-
-// cellKey names one (line, week) test cell an ingest touched. Deltas carry
-// cell keys, not payloads: applying a delta re-reads the cell's current shard
-// state, so replaying a key is idempotent and two ingests racing on a cell
-// converge to last-writer-wins exactly as a full rebuild would.
-type cellKey struct {
-	line data.LineID
-	week int16
-}
-
-// deltaRecord is one ingest's footprint in the delta log: the version it
-// produced, the test cells it touched, and the tickets it newly added
-// (ticket values are safe to log — the shard-lock dedup guarantees each
-// value is added exactly once, and the canonical ticket order makes the
-// merge order-independent).
-type deltaRecord struct {
-	version uint64
-	cells   []cellKey
-	tickets []data.Ticket
-}
-
-// Delta log bounds: a log past either cap drops its oldest records (the next
-// snapshot build past the gap falls back to a full rebuild, which needs no
-// log). The caps bound the log to a few weeks of realistic ingest churn.
-const (
-	maxDeltaRecords = 1024
-	maxDeltaCells   = 1 << 20
-)
 
 // Store is the sharded in-memory line-state store. Writers (ingest) take one
-// shard's write lock per batch slice; readers (snapshot) take read locks
-// shard by shard. Scoring never reads shards directly — it reads an
-// immutable Snapshot materialised on demand and cached until the next
-// ingest, so the scoring hot path costs zero lock traffic after the first
-// request per store version.
+// shard's write lock per batch slice. Scoring never reads shards directly —
+// it reads an immutable Snapshot published on demand and cached until the
+// next ingest, so the scoring hot path costs zero lock traffic after the
+// first request per store version.
 type Store struct {
-	shards  []shard
-	mask    uint32
+	shards []shard
+	mask   uint32
+	// grid is the store of record for every test cell; a cell no record has
+	// reached holds the Missing default. Chunk c of every week belongs to
+	// shard c&mask and is written only under that shard's lock. owned[i]
+	// marks grid.Chunks[i] private to the store (no published snapshot
+	// shares it), so a write lands in place; a write to a shared chunk copies
+	// it first. The grid's width and chunk table change only under every
+	// shard's lock (widen, restore), as does owned at a publish.
+	grid  *data.MeasurementGrid
+	owned []bool
+
 	version atomic.Uint64
 	// latestWeek tracks the newest week ingested (-1 before any).
 	latestWeek atomic.Int64
@@ -122,7 +115,7 @@ type Store struct {
 	// m, when set, receives ingest/build timings and shard-contention
 	// counts; nil (a bare NewStore) records nothing.
 	m *metrics
-	// buildFailures counts snapshot rebuilds that failed (injected or
+	// buildFailures counts snapshot publishes that failed (injected or
 	// otherwise); while it climbs, readers keep getting the last good
 	// snapshot and SnapshotLag reports how stale it is.
 	buildFailures atomic.Uint64
@@ -135,32 +128,25 @@ type Store struct {
 	owner    func(data.LineID) bool
 	filtered atomic.Uint64
 
-	// maxLine tracks the highest line id any applied test record carried
-	// (-1 before the first), i.e. the width the next snapshot grid will
-	// have. Exposed on /healthz so a fleet orchestrator can size its ATDS
-	// queue exactly as a single-node pipeline sizes it from DS.NumLines.
+	// maxLine is the highest line id any applied test record carried (-1
+	// before the first), i.e. the grid's width minus one. Exposed on
+	// /healthz so a fleet orchestrator can size its ATDS queue exactly as a
+	// single-node pipeline sizes it from DS.NumLines.
 	maxLine atomic.Int64
 
-	// buildMu singleflights snapshot builds: concurrent readers that miss
-	// the cache at the same version used to each run a full build with only
-	// one result winning the publish CAS (a thundering herd after every
-	// ingest). Now one builder works while the rest wait and reuse its
-	// result via the double-checked cache load.
+	// buildMu singleflights publishes: concurrent readers that miss the
+	// cache at the same version wait for one publisher and reuse its result
+	// via the double-checked cache load.
 	buildMu sync.Mutex
 
-	// deltaMu makes the version bump and the delta-log append one atomic
-	// step, so the log holds exactly one record per version with no gaps.
-	// Lock order: shard locks are never held when taking deltaMu; buildMu
-	// holders take deltaMu only for brief log reads/prunes.
-	deltaMu  sync.Mutex
-	deltas   []deltaRecord
-	logCells int
-
+	// walMu makes the version bump and the WAL append one step, so the
+	// write-ahead log's record order is exactly the version order. Shard
+	// locks are never held when taking it.
+	walMu sync.Mutex
 	// walSink, when set, receives every version bump with the applied batch
-	// while deltaMu is held, so the write-ahead log's record order is exactly
-	// the version order. Exactly one of tests/tickets is non-empty. Installed
-	// by the Durability manager before the store takes traffic; nil (the
-	// default) logs nothing.
+	// while walMu is held. Exactly one of tests/tickets is non-empty.
+	// Installed by the Durability manager before the store takes traffic;
+	// nil (the default) logs nothing.
 	walSink func(version uint64, tests []TestRecord, tickets []data.Ticket)
 }
 
@@ -178,6 +164,7 @@ func NewStore(shards int) *Store {
 	s := &Store{
 		shards: make([]shard, n),
 		mask:   uint32(n - 1),
+		grid:   data.NewMeasurementGrid(0),
 	}
 	for i := range s.shards {
 		s.shards[i].lines = make(map[data.LineID]*lineState)
@@ -188,8 +175,13 @@ func NewStore(shards int) *Store {
 	return s
 }
 
+// shardIndex returns the shard that owns line's grid chunk.
+func (s *Store) shardIndex(line data.LineID) int {
+	return int((uint32(line) / data.GridChunkLines) & s.mask)
+}
+
 func (s *Store) shardOf(line data.LineID) *shard {
-	return &s.shards[uint32(line)&s.mask]
+	return &s.shards[s.shardIndex(line)]
 }
 
 // SetFaults installs the fault-injection hooks. Call before the store takes
@@ -221,8 +213,8 @@ func (s *Store) lockShard(sh *shard, op string) {
 	}
 }
 
-// rlockShard is lockShard for readers: snapshot builds sweeping the shards
-// count how often an ingest writer made them wait.
+// rlockShard is lockShard for readers: checkpoint writes sweeping the
+// shards count how often an ingest writer made them wait.
 func (s *Store) rlockShard(sh *shard, op string) {
 	if s.m == nil {
 		sh.mu.RLock()
@@ -231,6 +223,20 @@ func (s *Store) rlockShard(sh *shard, op string) {
 	if !sh.mu.TryRLock() {
 		s.m.shardContended.With(op).Add(1)
 		sh.mu.RLock()
+	}
+}
+
+// lockAll write-locks every shard in index order, the only order in which
+// any path holds more than one; unlockAll releases them.
+func (s *Store) lockAll(op string) {
+	for i := range s.shards {
+		s.lockShard(&s.shards[i], op)
+	}
+}
+
+func (s *Store) unlockAll() {
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
 	}
 }
 
@@ -341,90 +347,23 @@ func ValidateIngest(req *IngestRequest) error {
 	return nil
 }
 
-// bumpVersion advances the ingest counter and logs the ingest's delta as one
-// atomic step, keeping the log gapless: record i always holds the footprint
-// of version deltas[0].version+i. tests carries the applied (post-filter)
-// records for the write-ahead log sink, which runs under the same lock so
-// the durable log's order matches the version order exactly.
-func (s *Store) bumpVersion(cells []cellKey, tickets []data.Ticket, tests []TestRecord) {
-	s.deltaMu.Lock()
+// bumpVersion advances the ingest counter and hands the applied batch to the
+// write-ahead log sink as one step under walMu, so the durable log's order
+// matches the version order exactly. tests carries the applied
+// (post-filter) records, tickets the newly added ones.
+func (s *Store) bumpVersion(tests []TestRecord, tickets []data.Ticket) {
+	s.walMu.Lock()
 	v := s.version.Add(1)
-	s.deltas = append(s.deltas, deltaRecord{version: v, cells: cells, tickets: tickets})
-	s.logCells += len(cells) + len(tickets)
-	for len(s.deltas) > 0 && (len(s.deltas) > maxDeltaRecords || s.logCells > maxDeltaCells) {
-		drop := &s.deltas[0]
-		s.logCells -= len(drop.cells) + len(drop.tickets)
-		*drop = deltaRecord{}
-		s.deltas = s.deltas[1:]
-	}
 	if s.walSink != nil {
 		s.walSink(v, tests, tickets)
 	}
-	s.deltaMu.Unlock()
-}
-
-// pinVersion sets the store version to v (a replayed record's version) and
-// logs its delta, exactly as bumpVersion does for live ingest but with no
-// counter bump and no WAL sink (the record is already durable). Feeding the
-// delta log during replay keeps a replication follower's snapshot rebuilds
-// O(batch) per applied record instead of a full grid recopy per version.
-func (s *Store) pinVersion(v uint64, cells []cellKey, tickets []data.Ticket) {
-	s.deltaMu.Lock()
-	s.version.Store(v)
-	s.deltas = append(s.deltas, deltaRecord{version: v, cells: cells, tickets: tickets})
-	s.logCells += len(cells) + len(tickets)
-	for len(s.deltas) > 0 && (len(s.deltas) > maxDeltaRecords || s.logCells > maxDeltaCells) {
-		drop := &s.deltas[0]
-		s.logCells -= len(drop.cells) + len(drop.tickets)
-		*drop = deltaRecord{}
-		s.deltas = s.deltas[1:]
-	}
-	s.deltaMu.Unlock()
+	s.walMu.Unlock()
 }
 
 // SetWALSink installs the write-ahead log hook (see Store.walSink). Call
 // before the store takes traffic; nil removes it.
 func (s *Store) SetWALSink(fn func(version uint64, tests []TestRecord, tickets []data.Ticket)) {
 	s.walSink = fn
-}
-
-// deltasBetween returns the delta records covering versions (base, target],
-// or ok == false when the log no longer holds them all (pruned or dropped on
-// overflow) and the caller must fall back to a full rebuild. The returned
-// records' slices are append-only after logging, so reading them outside
-// deltaMu is safe.
-func (s *Store) deltasBetween(base, target uint64) ([]deltaRecord, bool) {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	if target <= base {
-		return nil, true
-	}
-	if len(s.deltas) == 0 {
-		return nil, false
-	}
-	first := s.deltas[0].version
-	last := s.deltas[len(s.deltas)-1].version
-	if first > base+1 || last < target {
-		return nil, false
-	}
-	lo := int(base + 1 - first)
-	hi := int(target - first + 1)
-	return append([]deltaRecord(nil), s.deltas[lo:hi]...), true
-}
-
-// pruneDeltas drops log records at or below version: once a snapshot at that
-// version is published, no future build can need them (delta applies always
-// start from the cached snapshot).
-func (s *Store) pruneDeltas(version uint64) {
-	s.deltaMu.Lock()
-	n := 0
-	for n < len(s.deltas) && s.deltas[n].version <= version {
-		s.logCells -= len(s.deltas[n].cells) + len(s.deltas[n].tickets)
-		s.deltas[n] = deltaRecord{}
-		n++
-	}
-	s.deltas = s.deltas[n:]
-	s.deltaMu.Unlock()
 }
 
 // IngestTests applies a batch of line-test records. The batch is validated
@@ -462,32 +401,27 @@ func (s *Store) IngestTests(recs []TestRecord) (int, error) {
 			m.storeIngestDur.With("ingest_tests").Observe(time.Since(t0))
 		}(time.Now())
 	}
-	cells := s.applyTests(recs)
-	s.bumpVersion(cells, nil, recs)
+	s.applyTests(recs)
+	s.bumpVersion(recs, nil)
 	return len(recs), nil
 }
 
-// applyTests seats validated test records into their shards and advances the
-// latestWeek/maxLine watermarks. It is the shared apply step between live
-// ingest (IngestTests, which then bumps the version) and WAL replay
-// (ApplyWALRecord, which pins the version the record carries). Returns the
-// touched cells for the delta log.
-func (s *Store) applyTests(recs []TestRecord) []cellKey {
+// applyTests writes validated test records into the grid and their lines'
+// states, widening the grid first when a record lies past it, and advances
+// the latestWeek watermark. It is the apply step shared by live ingest
+// (IngestTests, which then bumps the version) and WAL replay
+// (ApplyWALRecord, which pins the version the record carries).
+func (s *Store) applyTests(recs []TestRecord) {
 	// Group by shard so each shard's lock is taken once per batch.
 	byShard := make([][]int, len(s.shards))
-	maxWeek := -1
-	maxL := int64(-1)
+	maxWeek, maxL := -1, data.LineID(-1)
 	for i := range recs {
-		si := uint32(recs[i].Line) & s.mask
+		si := s.shardIndex(recs[i].Line)
 		byShard[si] = append(byShard[si], i)
-		if recs[i].Week > maxWeek {
-			maxWeek = recs[i].Week
-		}
-		if int64(recs[i].Line) > maxL {
-			maxL = int64(recs[i].Line)
-		}
+		maxWeek = max(maxWeek, recs[i].Week)
+		maxL = max(maxL, recs[i].Line)
 	}
-	cells := make([]cellKey, 0, len(recs))
+	s.widen(maxL)
 	for si, idxs := range byShard {
 		if len(idxs) == 0 {
 			continue
@@ -512,9 +446,12 @@ func (s *Store) applyTests(recs []TestRecord) []cellKey {
 			}
 			m := data.Measurement{Line: r.Line, Week: r.Week, Missing: r.Missing}
 			copy(m.F[:], r.F)
-			ls.tests[r.Week] = m
-			ls.seen[r.Week] = true
-			cells = append(cells, cellKey{line: r.Line, week: int16(r.Week)})
+			s.grid.SetCOW(s.owned, r.Line, r.Week, m)
+			if ls.dirty == 0 {
+				sh.dirty = append(sh.dirty, r.Line)
+			}
+			ls.seen |= 1 << r.Week
+			ls.dirty |= 1 << r.Week
 		}
 		sh.mu.Unlock()
 	}
@@ -524,13 +461,20 @@ func (s *Store) applyTests(recs []TestRecord) []cellKey {
 			break
 		}
 	}
-	for {
-		cur := s.maxLine.Load()
-		if maxL <= cur || s.maxLine.CompareAndSwap(cur, maxL) {
-			break
-		}
+}
+
+// widen grows the grid to cover line when it lies past it. Growing re-lays
+// the chunk table every shard indexes, so it holds every shard's lock.
+func (s *Store) widen(line data.LineID) {
+	if int64(line) <= s.maxLine.Load() {
+		return
 	}
-	return cells
+	s.lockAll("ingest_tests")
+	if int64(line) > s.maxLine.Load() {
+		s.owned = s.grid.Grow(int(line)+1, s.owned)
+		s.maxLine.Store(int64(line))
+	}
+	s.unlockAll()
 }
 
 // IngestTickets applies a batch of customer tickets (exact duplicates are
@@ -567,7 +511,7 @@ func (s *Store) IngestTickets(recs []TicketRecord) (int, error) {
 	}
 	added := s.applyTickets(recs)
 	if len(added) > 0 {
-		s.bumpVersion(nil, added, nil)
+		s.bumpVersion(nil, added)
 	}
 	return len(added), nil
 }
@@ -578,14 +522,12 @@ func (s *Store) IngestTickets(recs []TicketRecord) (int, error) {
 // are post-dedup values, so on a clean replay every one is added again).
 func (s *Store) applyTickets(recs []TicketRecord) []data.Ticket {
 	// Group by shard and take each shard's lock once per batch, exactly as
-	// IngestTests does. The per-record lock/unlock this replaced made a
-	// large ticket batch pay thousands of lock round-trips on one shard.
-	// Shards go in index order and records in input order within a shard,
-	// so the added list, and with it the WAL ticket record, is a function
-	// of the batch.
+	// IngestTests does. Shards go in index order and records in input order
+	// within a shard, so the added list, and with it the WAL ticket record,
+	// is a function of the batch.
 	byShard := make([][]int, len(s.shards))
 	for i := range recs {
-		si := uint32(recs[i].Line) & s.mask
+		si := s.shardIndex(recs[i].Line)
 		byShard[si] = append(byShard[si], i)
 	}
 	var added []data.Ticket
@@ -609,15 +551,17 @@ func (s *Store) applyTickets(recs []TicketRecord) []data.Ticket {
 	return added
 }
 
-// Snapshot is an immutable point-in-use view of the store in the shape the
-// feature encoder consumes: a dense data.Dataset grid (never-ingested
-// (line, week) cells are Missing), a prebuilt ticket index, and the presence
-// matrix that distinguishes "line tested this week with the modem off" from
-// "no record at all". Consumers must treat every field as read-only.
+// Snapshot is an immutable point-in-time view of the store in the shape the
+// feature encoder consumes: a dense data.Dataset whose grid is frozen from
+// the store's (never-ingested (line, week) cells are Missing), a prebuilt
+// ticket index, and the presence matrix that distinguishes "line tested
+// this week with the modem off" from "no record at all". Consumers must
+// treat every field as read-only.
 //
-// Successive snapshots are built incrementally: applying an ingest's delta
-// copies only the grid chunks, presence rows and per-week line lists the
-// ingest touched, and shares everything else with the previous generation.
+// A snapshot shares with the store every grid chunk written before its
+// publish and not since, and with the snapshot it was derived from every
+// presence row, per-week line list, attribute slice and ticket list the
+// writes in between left unchanged.
 type Snapshot struct {
 	Version uint64
 	DS      *data.Dataset
@@ -629,14 +573,14 @@ type Snapshot struct {
 	Lines []data.LineID
 
 	// linesAt[w] caches the ascending line ids present at week w, computed
-	// at build/delta-apply time so LinesAt is a slice return, not a
-	// population scan per /v1/rank request.
+	// at publish time so LinesAt is a slice return, not a population scan
+	// per /v1/rank request.
 	linesAt [data.Weeks][]data.LineID
 
 	// tabMu guards tabs, the per-(models, week) score-table cache built
 	// lazily by the scoring fast path (see scoretable.go), and carry, the
-	// tables a delta-applied snapshot inherited from its base and has not
-	// read yet; a read moves its table from carry into tabs.
+	// tables a snapshot inherited from its base and has not read yet; a
+	// read moves its table from carry into tabs.
 	tabMu sync.Mutex
 	tabs  map[tabKey]*weekTable
 	carry map[tabKey]*weekTable
@@ -652,384 +596,254 @@ func (sn *Snapshot) LinesAt(week int) []data.LineID {
 	return sn.linesAt[week]
 }
 
-// Snapshot materialises (or returns the cached) dataset view of the store.
-// The cache is keyed by the store version: any ingest invalidates it, and
-// the first read after an ingest pays the rebuild — a delta apply when the
-// log covers the gap, a full grid rebuild otherwise. Builds are
-// singleflighted: concurrent readers missing the cache wait for one builder
-// instead of each rebuilding. Shards are read-locked one at a time, so a
-// snapshot overlapping concurrent ingests may split them across shards —
-// each line's state is still internally consistent, and the version
-// recorded is the one read before the build, so the next read rebuilds. An
-// empty store yields a nil snapshot.
+// Snapshot publishes (or returns the cached) dataset view of the store. The
+// cache is keyed by the store version: any ingest invalidates it, and the
+// first read after an ingest pays the publish, which costs the grid's chunk
+// count plus the lines written since the previous publish (see publish).
+// Publishes are singleflighted: concurrent readers missing the cache wait
+// for one publisher instead of each publishing. The version recorded is the
+// one read before the publish, so a snapshot that caught part of a
+// concurrent ingest is republished by the next read. An empty store yields
+// a nil snapshot.
 //
-// Degradation contract: when a rebuild fails (an injected or real
-// infrastructure fault), Snapshot falls back to the last successfully built
+// Degradation contract: when a publish fails (an injected or real
+// infrastructure fault), Snapshot falls back to the last published
 // snapshot — stale by SnapshotLag versions but internally consistent — and
-// the next read retries the rebuild. Readers therefore never observe a torn
-// or partially built view; they observe an older complete one.
+// the next read retries; the failed publish consumed nothing, so the retry
+// covers every write since the last success. Readers therefore never
+// observe a torn or partially built view; they observe an older complete
+// one.
 func (s *Store) Snapshot() *Snapshot {
 	if sn := s.snap.Load(); sn != nil && sn.Version == s.version.Load() {
 		return sn
 	}
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
-	// Double-check under the build lock: the builder we waited behind may
+	// Double-check under the build lock: the publisher we waited behind may
 	// have published the version we need.
 	v := s.version.Load()
-	if sn := s.snap.Load(); sn != nil && sn.Version == v {
-		return sn
+	base := s.snap.Load()
+	if base != nil && base.Version == v {
+		return base
 	}
-	sn, err := s.buildFrom(s.snap.Load(), v)
+	sn, err := s.publish(base, v)
 	if err != nil {
 		s.buildFailures.Add(1)
-		return s.snap.Load()
+		return base
 	}
-	if sn == nil {
-		return nil
+	if sn != nil {
+		s.snap.Store(sn)
 	}
-	s.snap.Store(sn)
-	s.pruneDeltas(sn.Version)
 	return sn
 }
 
-// ResetSnapshotCache drops the cached snapshot, forcing the next Snapshot
-// call to rebuild from the shards. It exists for benchmarks and equivalence
-// tests (delta-applied vs from-scratch snapshots must be bit-identical);
-// production code never needs it.
+// ResetSnapshotCache drops the cached snapshot, so the next Snapshot call
+// publishes with no base: every present cell counts as written, and the
+// presence matrix, line lists, attributes and tickets are derived from the
+// whole store. Equivalence tests compare that against base-derived
+// snapshots, and benchmarks time it; production code never needs it.
 func (s *Store) ResetSnapshotCache() {
 	s.buildMu.Lock()
 	s.snap.Store(nil)
 	s.buildMu.Unlock()
 }
 
-// buildFrom builds the snapshot for version: incrementally from base when
-// the delta log covers (base.Version, version] and no delta widens the
-// grid, else from scratch.
-func (s *Store) buildFrom(base *Snapshot, version uint64) (*Snapshot, error) {
+// lineWrite is one line as a publish reads it: its attributes and the weeks
+// (bit w for week w) written since the previous publish.
+type lineWrite struct {
+	line    data.LineID
+	weeks   uint64
+	profile uint8
+	dslam   int32
+	usage   float32
+}
+
+// publish builds the snapshot at version; every snapshot is built here. It
+// freezes the grid under every shard's lock (a ShareCopy of the chunk table,
+// after which the store copies any chunk before writing it) and takes the
+// lines written and the tickets added since base was published. From base
+// plus those it derives presence, line lists, attributes, tickets and the
+// week tables the new snapshot carries (see carryTables). With no base —
+// the first publish after start, restore or ResetSnapshotCache — every
+// present cell counts as written. A base-less publish is counted and timed
+// as a "full" build, any other as a "delta".
+func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
+	if m := s.m; m != nil {
+		h := m.snapshotApplyDur
+		if base == nil {
+			h = m.storeBuildDur
+		}
+		defer func(t0 time.Time) { h.Observe(time.Since(t0)) }(time.Now())
+	}
+	if h := s.faults; h != nil && h.SnapshotBuild != nil {
+		if err := h.SnapshotBuild(version); err != nil {
+			return nil, err
+		}
+	}
+	if s.maxLine.Load() < 0 {
+		return nil, nil // tickets alone have no grid row to show them on
+	}
+	nb := 0
 	if base != nil {
-		if recs, ok := s.deltasBetween(base.Version, version); ok && deltasFit(recs, base.DS.NumLines) {
-			sn, err := s.applyDelta(base, recs, version)
-			if err != nil {
-				return nil, err
-			}
-			if m := s.m; m != nil {
-				m.snapshotBuilds.With("delta").Add(1)
-			}
-			return sn, nil
-		}
-	}
-	sn, err := s.build(version)
-	if err == nil && sn != nil {
-		if m := s.m; m != nil {
-			m.snapshotBuilds.With("full").Add(1)
-		}
-	}
-	return sn, err
-}
-
-// deltasFit reports whether every touched cell fits the base grid's width.
-// A cell beyond it means a new line widened the grid; the full rebuild that
-// handles it also re-sweeps shard tickets, recovering any ticket that was
-// filtered out of earlier snapshots because its line had no row yet.
-func deltasFit(recs []deltaRecord, numLines int) bool {
-	for i := range recs {
-		for _, c := range recs[i].cells {
-			if int(c.line) >= numLines {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// applyDelta derives the snapshot at version from base plus the logged
-// deltas: touched cells are re-read from their shards (so the result is the
-// same last-writer-wins state a full rebuild would copy) into copy-on-write
-// chunks, flipped presence rows and per-week line lists are copied once per
-// week, attribute slices are copied only if a value actually changed, and
-// the ticket slice and index are shared unless a delta added tickets. The
-// base's week score tables carry over as far as the deltas leave them valid
-// (see carryTables).
-func (s *Store) applyDelta(base *Snapshot, recs []deltaRecord, version uint64) (*Snapshot, error) {
-	if m := s.m; m != nil {
-		defer func(t0 time.Time) {
-			m.snapshotApplyDur.Observe(time.Since(t0))
-		}(time.Now())
-	}
-	// The rebuild fault seam covers incremental builds too: a chaos process
-	// that fails snapshot builds must degrade delta applies the same way.
-	if h := s.faults; h != nil && h.SnapshotBuild != nil {
-		if err := h.SnapshotBuild(version); err != nil {
-			return nil, err
-		}
-	}
-	n := base.DS.NumLines
-	ds := *base.DS // shallow copy; COW fields below replace what changes
-	ds.Grid = base.DS.Grid.ShareCopy()
-	ownedChunks := make([]bool, len(ds.Grid.Chunks))
-
-	sn := &Snapshot{
-		Version: version,
-		DS:      &ds,
-		Ix:      base.Ix,
-		Present: base.Present,
-		Lines:   base.Lines,
-		linesAt: base.linesAt,
+		nb = base.DS.NumLines
 	}
 
-	var (
-		presentShared = true           // sn.Present still aliases base.Present
-		ownedRows     [data.Weeks]bool // presence rows copied so far
-		dirtyWeeks    [data.Weeks]bool // weeks whose linesAt needs a rebuild
-		attrsShared   = true           // ProfileOf/DSLAMOf/UsageOf still alias base
-		dslamChanged  = false
-		newLines      []data.LineID
-		changed       tableDelta
-	)
-
-	// Group touched cells by shard so each shard is read-locked once.
-	byShard := make(map[int][]cellKey)
-	for i := range recs {
-		for _, c := range recs[i].cells {
-			si := int(uint32(c.line) & s.mask)
-			byShard[si] = append(byShard[si], c)
-		}
-		changed.cells = append(changed.cells, recs[i].cells...)
-	}
-	for si, cells := range byShard {
-		sh := &s.shards[si]
-		s.rlockShard(sh, "snapshot")
-		if h := s.faults; h != nil && h.ShardRead != nil {
-			h.ShardRead(si)
-		}
-		for _, c := range cells {
-			ls := sh.lines[c.line]
-			w := int(c.week)
-			if ls == nil || !ls.seen[w] {
-				continue // lines are never removed; defensive only
-			}
-			ds.Grid.SetCOW(ownedChunks, c.line, w, ls.tests[w])
-			if !sn.Present[w][c.line] {
-				if presentShared {
-					sn.Present = append([][]bool(nil), base.Present...)
-					presentShared = false
-				}
-				if !ownedRows[w] {
-					sn.Present[w] = append([]bool(nil), sn.Present[w]...)
-					ownedRows[w] = true
-				}
-				sn.Present[w][c.line] = true
-				dirtyWeeks[w] = true
-			}
-			if ds.ProfileOf[c.line] != ls.profile || ds.DSLAMOf[c.line] != ls.dslam || ds.UsageOf[c.line] != ls.usage {
-				if attrsShared {
-					ds.ProfileOf = append([]uint8(nil), ds.ProfileOf...)
-					ds.DSLAMOf = append([]int32(nil), ds.DSLAMOf...)
-					ds.UsageOf = append([]float32(nil), ds.UsageOf...)
-					attrsShared = false
-				}
-				if ds.DSLAMOf[c.line] != ls.dslam {
-					dslamChanged = true
-				}
-				ds.ProfileOf[c.line], ds.DSLAMOf[c.line], ds.UsageOf[c.line] = ls.profile, ls.dslam, ls.usage
-				changed.attrs = append(changed.attrs, c.line)
-			}
-			if !containsLine(sn.Lines, c.line) && !containsLineLinear(newLines, c.line) {
-				newLines = append(newLines, c.line)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-
-	if len(newLines) > 0 {
-		merged := make([]data.LineID, 0, len(base.Lines)+len(newLines))
-		merged = append(merged, base.Lines...)
-		merged = append(merged, newLines...)
-		sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-		sn.Lines = merged
-	}
-	for w := 0; w < data.Weeks; w++ {
-		if !dirtyWeeks[w] {
-			continue
-		}
-		row := sn.Present[w]
-		rebuilt := make([]data.LineID, 0, len(base.linesAt[w])+len(newLines))
-		for _, l := range sn.Lines {
-			if row[l] {
-				rebuilt = append(rebuilt, l)
-			}
-		}
-		sn.linesAt[w] = rebuilt
-	}
-
-	// NumDSLAMs is sized from attribute values; recompute only when they
-	// could have moved. Never-ingested rows hold 0, which cannot exceed any
-	// real id, so the array max matches the full build's max over shard
-	// states.
-	if dslamChanged || len(newLines) > 0 {
-		maxDSLAM := int32(0)
-		for _, d := range ds.DSLAMOf {
-			if d > maxDSLAM {
-				maxDSLAM = d
-			}
-		}
-		ds.NumDSLAMs = int(maxDSLAM) + 1
-	}
-
-	// Merge newly added tickets. Lines the grid has no row for stay out,
-	// exactly as the full build filters them; they are recovered by the full
-	// rebuild that accompanies the grid widening. The base may already hold
-	// a logged ticket when its build raced the ingest, so the merge dedups
-	// against the base's canonically sorted slice.
+	s.lockAll("snapshot")
+	grid := s.grid.ShareCopy()
+	clear(s.owned)
+	n := grid.NumLines
+	grew := n > nb
+	var writes []lineWrite
 	var added []data.Ticket
-	for i := range recs {
-		for _, t := range recs[i].tickets {
-			if int(t.Line) < n && !containsTicket(base.DS.Tickets, t) {
-				added = append(added, t)
-			}
-		}
-	}
-	if len(added) > 0 {
-		merged := make([]data.Ticket, 0, len(base.DS.Tickets)+len(added))
-		merged = append(merged, base.DS.Tickets...)
-		merged = append(merged, added...)
-		sortTickets(merged)
-		ds.Tickets = merged
-		sn.Ix = data.NewTicketIndex(&ds)
-	}
-	changed.tickets = added
-	sn.carry = carryTables(base, sn, changed)
-	return sn, nil
-}
-
-// containsLine reports whether the ascending slice holds l.
-func containsLine(sorted []data.LineID, l data.LineID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= l })
-	return i < len(sorted) && sorted[i] == l
-}
-
-// containsLineLinear is the unsorted-slice variant for applyDelta's short
-// accumulating new-line list, which is in cell order, not ascending.
-func containsLineLinear(lines []data.LineID, l data.LineID) bool {
-	for _, x := range lines {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// sortTickets puts ts in the canonical ticket order, data.TicketLess.
-func sortTickets(ts []data.Ticket) {
-	sort.Slice(ts, func(a, b int) bool { return data.TicketLess(ts[a], ts[b]) })
-}
-
-// containsTicket reports whether the canonically sorted slice holds t.
-func containsTicket(sorted []data.Ticket, t data.Ticket) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return !data.TicketLess(sorted[i], t) })
-	return i < len(sorted) && sorted[i] == t
-}
-
-func (s *Store) build(version uint64) (*Snapshot, error) {
-	if m := s.m; m != nil {
-		defer func(t0 time.Time) {
-			m.storeBuildDur.Observe(time.Since(t0))
-		}(time.Now())
-	}
-	if h := s.faults; h != nil && h.SnapshotBuild != nil {
-		if err := h.SnapshotBuild(version); err != nil {
-			return nil, err
-		}
-	}
-	// Pass 1: grid width. Lines ingested after this pass (the build runs
-	// lock-free between shards, so concurrent ingests can land mid-build)
-	// are excluded from this snapshot in pass 2 — they belong to a later
-	// version, and the version recorded here predates them, so the next
-	// read rebuilds and picks them up.
-	maxLine := data.LineID(-1)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		s.rlockShard(sh, "snapshot")
-		for l := range sh.lines {
-			if l > maxLine {
-				maxLine = l
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if maxLine < 0 {
-		return nil, nil
-	}
-	n := int(maxLine) + 1
-	ds := &data.Dataset{
-		NumLines:  n,
-		ProfileOf: make([]uint8, n),
-		DSLAMOf:   make([]int32, n),
-		UsageOf:   make([]float32, n),
-		Grid:      data.NewMeasurementGrid(n),
-	}
-	present := make([][]bool, data.Weeks)
-	for w := 0; w < data.Weeks; w++ {
-		present[w] = make([]bool, n)
-	}
-	// Pass 2: copy line states and tickets. NumDSLAMs is sized from the
-	// values actually copied, so a DSLAM id can never index past it.
-	maxDSLAM := int32(0)
-	var lines []data.LineID
-	var tickets []data.Ticket
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.rlockShard(sh, "snapshot")
 		if h := s.faults; h != nil && h.ShardRead != nil {
 			h.ShardRead(i)
 		}
-		for l, ls := range sh.lines {
-			if l > maxLine {
-				continue // arrived after pass 1; next version's snapshot
+		if base == nil { // every present cell counts as written
+			sh.dirty = sh.dirty[:0]
+			for l, ls := range sh.lines {
+				ls.dirty = ls.seen
+				sh.dirty = append(sh.dirty, l)
 			}
-			lines = append(lines, l)
-			if ls.dslam > maxDSLAM {
-				maxDSLAM = ls.dslam
-			}
-			ds.ProfileOf[l], ds.DSLAMOf[l], ds.UsageOf[l] = ls.profile, ls.dslam, ls.usage
-			for w := 0; w < data.Weeks; w++ {
-				if ls.seen[w] {
-					*ds.Grid.At(l, w) = ls.tests[w]
-					present[w][l] = true
+		}
+		for _, l := range sh.dirty {
+			ls := sh.lines[l]
+			writes = append(writes, lineWrite{line: l, weeks: ls.dirty, profile: ls.profile, dslam: ls.dslam, usage: ls.usage})
+			ls.dirty = 0
+		}
+		sh.dirty = sh.dirty[:0]
+		// A ticket shows once the grid has its line's row. New tickets
+		// show if it has one now; older ones were left out while their line
+		// lay past the base's grid, and show once the grid has grown past
+		// them.
+		if grew {
+			for _, t := range sh.tickets[:sh.published] {
+				if int(t.Line) >= nb && int(t.Line) < n {
+					added = append(added, t)
 				}
 			}
 		}
-		// Tickets for lines the store has never seen a test for stay out of
-		// the snapshot: the grid has no row for them, and they join once the
-		// line's first test record arrives.
-		for _, t := range sh.tickets {
-			if t.Line <= maxLine {
-				tickets = append(tickets, t)
+		for _, t := range sh.tickets[sh.published:] {
+			if int(t.Line) < n {
+				added = append(added, t)
 			}
 		}
-		sh.mu.RUnlock()
+		sh.published = len(sh.tickets)
 	}
-	ds.NumDSLAMs = int(maxDSLAM) + 1
-	sort.Slice(lines, func(a, b int) bool { return lines[a] < lines[b] })
-	sortTickets(tickets)
-	ds.Tickets = tickets
-	sn := &Snapshot{
-		Version: version,
-		DS:      ds,
-		Ix:      data.NewTicketIndex(ds),
-		Present: present,
-		Lines:   lines,
+	s.unlockAll()
+
+	ds := &data.Dataset{}
+	sn := &Snapshot{Version: version, DS: ds}
+	if base != nil {
+		*ds = *base.DS // shallow copy; what changed is replaced below
+		sn.Ix, sn.Present, sn.Lines, sn.linesAt = base.Ix, slices.Clone(base.Present), base.Lines, base.linesAt
 	}
-	for w := 0; w < data.Weeks; w++ {
-		row := present[w]
-		var at []data.LineID
-		for _, l := range lines {
+	ds.NumLines, ds.Grid = n, grid
+	var (
+		rowOwned   [data.Weeks]bool // presence rows already copied
+		attrsOwned bool             // ProfileOf/DSLAMOf/UsageOf already copied
+		dirtyWeeks [data.Weeks]bool // weeks whose linesAt needs a rebuild
+		dslamMoved bool
+		newLines   []data.LineID
+		changed    = tableDelta{cells: writes, tickets: added}
+	)
+	if grew {
+		// Every per-line slice grows with the grid.
+		ds.ProfileOf = append(make([]uint8, 0, n), ds.ProfileOf...)[:n]
+		ds.DSLAMOf = append(make([]int32, 0, n), ds.DSLAMOf...)[:n]
+		ds.UsageOf = append(make([]float32, 0, n), ds.UsageOf...)[:n]
+		attrsOwned = true
+		sn.Present = make([][]bool, data.Weeks)
+		for w := range sn.Present {
+			sn.Present[w] = make([]bool, n)
+			if base != nil {
+				copy(sn.Present[w], base.Present[w])
+			}
+			rowOwned[w] = true
+		}
+	}
+	for _, c := range writes {
+		l := c.line
+		for weeks := c.weeks; weeks != 0; weeks &= weeks - 1 {
+			w := bits.TrailingZeros64(weeks)
+			if sn.Present[w][l] {
+				continue
+			}
+			if !rowOwned[w] {
+				sn.Present[w] = slices.Clone(sn.Present[w])
+				rowOwned[w] = true
+			}
+			sn.Present[w][l] = true
+			dirtyWeeks[w] = true
+		}
+		if ds.ProfileOf[l] != c.profile || ds.DSLAMOf[l] != c.dslam || ds.UsageOf[l] != c.usage {
+			if !attrsOwned {
+				ds.ProfileOf = slices.Clone(ds.ProfileOf)
+				ds.DSLAMOf = slices.Clone(ds.DSLAMOf)
+				ds.UsageOf = slices.Clone(ds.UsageOf)
+				attrsOwned = true
+			}
+			dslamMoved = dslamMoved || ds.DSLAMOf[l] != c.dslam
+			ds.ProfileOf[l], ds.DSLAMOf[l], ds.UsageOf[l] = c.profile, c.dslam, c.usage
+			changed.attrs = append(changed.attrs, l)
+		}
+		if !containsLine(sn.Lines, l) {
+			newLines = append(newLines, l)
+		}
+	}
+
+	if len(newLines) > 0 {
+		sn.Lines = append(slices.Clip(sn.Lines), newLines...)
+		slices.Sort(sn.Lines)
+	}
+	for w, dirty := range dirtyWeeks {
+		if !dirty {
+			continue
+		}
+		row := sn.Present[w]
+		at := make([]data.LineID, 0, len(sn.linesAt[w])+len(newLines))
+		for _, l := range sn.Lines {
 			if row[l] {
 				at = append(at, l)
 			}
 		}
 		sn.linesAt[w] = at
 	}
+	// NumDSLAMs is sized from attribute values; recompute only when they
+	// could have moved. Never-ingested rows hold 0, which cannot exceed any
+	// real id.
+	if dslamMoved || len(newLines) > 0 || grew {
+		ds.NumDSLAMs = int(slices.Max(ds.DSLAMOf)) + 1
+	}
+	if len(added) > 0 {
+		ds.Tickets = append(slices.Clip(ds.Tickets), added...)
+		sortTickets(ds.Tickets)
+	}
+	if len(added) > 0 || grew {
+		sn.Ix = data.NewTicketIndex(ds) // indexed by line: grows with the grid
+	}
+	// Week tables cover [0, NumLines), so a grown grid carries none.
+	if !grew {
+		sn.carry = carryTables(base, sn, changed)
+	}
+	if m := s.m; m != nil {
+		kind := "delta"
+		if base == nil {
+			kind = "full"
+		}
+		m.snapshotBuilds.With(kind).Add(1)
+	}
 	return sn, nil
+}
+
+// containsLine reports whether the ascending slice holds l.
+func containsLine(sorted []data.LineID, l data.LineID) bool {
+	_, ok := slices.BinarySearch(sorted, l)
+	return ok
+}
+
+// sortTickets puts ts in the canonical ticket order, data.TicketLess.
+func sortTickets(ts []data.Ticket) {
+	sort.Slice(ts, func(a, b int) bool { return data.TicketLess(ts[a], ts[b]) })
 }

@@ -140,7 +140,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Phase 4: weekly Saturday line tests.
-	ds.Measurements = make([]data.Measurement, data.Weeks*nLines)
+	ds.Grid = data.NewMeasurementGrid(nLines)
 	for w := 0; w < data.Weeks; w++ {
 		day := data.SaturdayOf(w)
 		outageNow := make(map[int32]bool)
@@ -181,7 +181,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			outage := outageNow[line.DSLAM]
 			mr := rng.Derive(cfg.Seed, 0x7e57, uint64(li), uint64(w))
-			ds.Measurements[w*nLines+li] = dsl.Measure(line, eff, outage, w, mr)
+			*ds.At(data.LineID(li), w) = dsl.Measure(line, eff, outage, w, mr)
 		}
 	}
 

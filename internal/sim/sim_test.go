@@ -51,9 +51,11 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("ticket %d differs", i)
 		}
 	}
-	for i := range a.Dataset.Measurements {
-		if a.Dataset.Measurements[i] != b.Dataset.Measurements[i] {
-			t.Fatalf("measurement %d differs", i)
+	for w := 0; w < data.Weeks; w++ {
+		for l := data.LineID(0); int(l) < a.Dataset.NumLines; l++ {
+			if *a.Dataset.At(l, w) != *b.Dataset.At(l, w) {
+				t.Fatalf("measurement (%d,%d) differs", l, w)
+			}
 		}
 	}
 }
