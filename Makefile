@@ -60,12 +60,13 @@ bench:
 # /v1/ingest body decoder, the durability axis: ingest with the WAL off vs
 # on, one checkpoint write, and cold-restart recovery, the replication
 # axis: follower catch-up over HTTP plus gateway scoring through a replica,
-# and the drift loop: the per-week monitor fold plus one week of challenger
-# shadow scoring);
+# the drift loop: the per-week monitor fold plus one week of challenger
+# shadow scoring, and the serving layers perfbench times end to end: a
+# week table built from scratch behind /v1/rank and a one-case /v1/locate);
 # BENCH_ml.json is committed so perf diffs show up in review. GOMAXPROCS=1
 # keeps benchmark names free of the -N CPU suffix bench-diff matches on.
 bench-json:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore|WeekTableBuild|Locate$$' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
 
 # Perf gate: rerun the compiled-scoring, serve-score and score-after-ingest
 # benchmarks (among others; see the script) and fail on a >50% ns/op
@@ -152,9 +153,11 @@ fuzz:
 # differentially (same verdict, error text, values and nil-versus-empty),
 # and the rank query parser — plus the checkpoint loader, the WAL segment
 # decoder, the replication stream decoder (arbitrary bytes must decode
-# consistently and never panic or corrupt a store), and the drift loop's
-# two parsers: /v1/drift query params and the -drift.thresholds spec. Seed
-# corpora for all nine also run (instantly) in plain `make test`.
+# consistently and never panic or corrupt a store), the drift loop's two
+# parsers: /v1/drift query params and the -drift.thresholds spec, and the
+# interval scorer against the binned path (the same score bits for any
+# float32 values). Seed corpora for all ten also run (instantly) in plain
+# `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestJSON -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestDecode -fuzztime 30s -run '^$$'
@@ -165,6 +168,7 @@ fuzz-smoke:
 	$(GO) test ./internal/replica/ -fuzz FuzzReplStream -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/drift/ -fuzz FuzzDriftParams -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/drift/ -fuzz FuzzThresholds -fuzztime 20s -run '^$$'
+	$(GO) test ./internal/ml/ -fuzz FuzzThresholdScore -fuzztime 20s -run '^$$'
 
 clean:
 	rm -f test_output.txt bench_output.txt dsl-year.gob.gz

@@ -525,6 +525,81 @@ func BenchmarkScoreAfterIngest(b *testing.B) {
 	b.ReportMetric(float64(rows.Load())/float64(b.N), "rows/op")
 }
 
+// BenchmarkWeekTableBuild measures the rank that ends a Saturday run, the
+// in-process twin of perfbench's serve.rank_after_ingest_ms: each op drops
+// the cached snapshot and asks /v1/rank for week 43 through the handler, so
+// it pays a base-less publish, one full week table (the whole population
+// encoded and scored), the rank sort and the render.
+func BenchmarkWeekTableBuild(b *testing.B) {
+	ctx := benchContext(b)
+	pred, err := ctx.StandardPredictor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Predictor: pred})
+	if err != nil {
+		b.Fatal(err)
+	}
+	populateServeStore(b, srv, ctx.DS)
+	req := httptest.NewRequest(http.MethodGet, "/v1/rank?week=43", nil)
+	sink := &sinkResponseWriter{h: make(http.Header, 4)}
+	handler := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.Store().ResetSnapshotCache()
+		sink.code = 0
+		handler.ServeHTTP(sink, req)
+		if sink.code != http.StatusOK {
+			b.Fatalf("rank: status %d", sink.code)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ctx.DS.NumLines), "lines")
+}
+
+// BenchmarkLocate measures a one-case /v1/locate through the handler, the
+// in-process twin of perfbench's serve.handler_us.locate: the week's
+// imputation fallback is resident on the snapshot after the first call, so
+// an op is the request decode, one row's encode and quantize, every
+// disposition's classifier and the reply.
+func BenchmarkLocate(b *testing.B) {
+	ctx := benchContext(b)
+	pred, err := ctx.StandardPredictor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lcfg := core.DefaultLocatorConfig(17)
+	lcfg.Rounds = 40
+	loc, err := core.TrainLocator(ctx.DS, core.CasesFromNotes(ctx.DS, data.FirstSaturday, data.SaturdayOf(40)-1), lcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Predictor: pred, Locator: loc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	populateServeStore(b, srv, ctx.DS)
+	rd := bytes.NewReader([]byte(fmt.Sprintf(`{"line":%d,"week":43,"model":"combined"}`, ctx.DS.NumLines/3)))
+	req := httptest.NewRequest(http.MethodPost, "/v1/locate", rd)
+	sink := &sinkResponseWriter{h: make(http.Header, 4)}
+	handler := srv.Handler()
+	post := func() {
+		rd.Seek(0, io.SeekStart)
+		sink.code = 0
+		handler.ServeHTTP(sink, req)
+		if sink.code != http.StatusOK {
+			b.Fatalf("locate: status %d", sink.code)
+		}
+	}
+	post() // publish the snapshot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
 // benchFleet builds an in-process fleet: n shard daemons behind a gateway,
 // spliced together by fleet.HostTransport so the measurement covers the
 // gateway's partition/scatter/splice work and the shards' handler paths but

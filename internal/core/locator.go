@@ -182,7 +182,7 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 	}
 
 	// Encode the dispatch cases once.
-	enc, err := encodeCases(ds, nil, cases, cfg.HistoryWeeks, cache)
+	enc, err := encodeCases(ds, nil, cases, cfg.HistoryWeeks, cache, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -289,19 +289,26 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 
 // encodeCases builds the full Table 3 feature set (no products; §6.3 uses
 // all line features) for dispatch cases, memoized when a cache is given. A
-// nil ix builds the ticket index from ds.
-func encodeCases(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, historyWeeks int, cache *features.Cache) (*features.Encoded, error) {
+// nil ix builds the ticket index from ds. A non-nil fallback is the
+// imputation vector the encode would compute (see
+// TicketPredictor.ScoreExamplesFallback); the cached encode computes its
+// own.
+func encodeCases(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, historyWeeks int, cache *features.Cache, fallback []float32) (*features.Encoded, error) {
 	ex := make([]features.Example, len(cases))
 	for i, c := range cases {
 		ex[i] = features.Example{Line: c.Line, Week: c.Week}
 	}
-	return features.EncodeCached(cache, ds, ix, ex, features.Config{HistoryWeeks: historyWeeks, Quadratic: true})
+	cfg := features.Config{HistoryWeeks: historyWeeks, Quadratic: true}
+	if cache != nil {
+		return features.EncodeCached(cache, ds, ix, ex, cfg)
+	}
+	return features.AllColumns(cfg).Encode(ds, ix, ex, fallback, 1)
 }
 
 // casesMatrix returns the quantized design matrix for dispatch cases,
 // memoized (keyed by the cases and the quantizer's content fingerprint) when
 // a cache is attached.
-func (l *TroubleLocator) casesMatrix(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase) (*ml.BinnedMatrix, error) {
+func (l *TroubleLocator) casesMatrix(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, fallback []float32) (*ml.BinnedMatrix, error) {
 	var bmKey string
 	if l.cache != nil {
 		ex := make([]features.Example, len(cases))
@@ -314,7 +321,7 @@ func (l *TroubleLocator) casesMatrix(ds *data.Dataset, ix *data.TicketIndex, cas
 			return bm, nil
 		}
 	}
-	enc, err := encodeCases(ds, ix, cases, l.Cfg.HistoryWeeks, l.cache)
+	enc, err := encodeCases(ds, ix, cases, l.Cfg.HistoryWeeks, l.cache, fallback)
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +350,14 @@ func (l *TroubleLocator) Posteriors(ds *data.Dataset, cases []DispatchCase, mode
 // an O(lines) build that would otherwise dominate a one-case request. A nil
 // ix builds it from ds.
 func (l *TroubleLocator) PosteriorsIx(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, model LocatorModel) ([][]float64, error) {
+	return l.PosteriorsFallback(ds, ix, cases, model, nil)
+}
+
+// PosteriorsFallback is PosteriorsIx with the encode's imputation fallback
+// supplied: for cases all at week w, features.WeekFallback(ds, w). It only
+// saves that pass over the population, which dominates a one-case call; nil
+// computes it.
+func (l *TroubleLocator) PosteriorsFallback(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, model LocatorModel, fallback []float32) ([][]float64, error) {
 	nd := len(l.Dispositions)
 	out := make([][]float64, len(cases))
 	if model == ModelBasic {
@@ -356,7 +371,7 @@ func (l *TroubleLocator) PosteriorsIx(ds *data.Dataset, ix *data.TicketIndex, ca
 		return out, nil
 	}
 
-	bm, err := l.casesMatrix(ds, ix, cases)
+	bm, err := l.casesMatrix(ds, ix, cases, fallback)
 	if err != nil {
 		return nil, err
 	}
@@ -429,9 +444,11 @@ func (l *TroubleLocator) RankOfTruth(ds *data.Dataset, cases []DispatchCase, mod
 }
 
 // ExplainCombined renders the Fig. 9 style description of one disposition's
-// combined inference model: the strongest weak learners of the disposition
-// classifier f_Cij and of its parent location classifier f_Ci·, and the
-// logistic coefficients (γ's of Eq. 2) fusing them. The paper's example is
+// combined inference model: the first topStumps weak learners, in training
+// order, of the disposition classifier f_Cij and of its parent location
+// classifier f_Ci·, and the logistic coefficients (γ's of Eq. 2) fusing
+// them. Training order is not strength order: a later stump can swing the
+// score by more than an earlier one. The paper's example is
 // the inside-wiring problem at the home network.
 func (l *TroubleLocator) ExplainCombined(d faults.DispositionID, topStumps int) (string, error) {
 	flat, ok := l.flat[d]
@@ -449,12 +466,12 @@ func (l *TroubleLocator) ExplainCombined(d faults.DispositionID, topStumps int) 
 	} else {
 		fmt.Fprintf(&b, "P(adj) = calibrated f_disp (no location model)\n")
 	}
-	fmt.Fprintf(&b, "\ndisposition classifier f_disp — strongest weak learners:\n")
+	fmt.Fprintf(&b, "\ndisposition classifier f_disp — first weak learners (training order):\n")
 	for t := 0; t < topStumps && t < len(flat.Stumps); t++ {
 		fmt.Fprintf(&b, "  %s\n", flat.Explain(t))
 	}
 	if locM != nil {
-		fmt.Fprintf(&b, "\nlocation classifier f_%v — strongest weak learners:\n", loc)
+		fmt.Fprintf(&b, "\nlocation classifier f_%v — first weak learners (training order):\n", loc)
 		for t := 0; t < topStumps && t < len(locM.Stumps); t++ {
 			fmt.Fprintf(&b, "  %s\n", locM.Explain(t))
 		}

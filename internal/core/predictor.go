@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"nevermind/internal/data"
 	"nevermind/internal/features"
@@ -119,6 +120,11 @@ type TicketPredictor struct {
 	// Unexported so gob persistence skips it; a loaded predictor runs
 	// uncached until SetEncodeCache is called.
 	cache *features.Cache
+
+	// plan is the serving encode folded from Model and Quant (see
+	// servingPlan), built on first cache-free scoring and rebuilt whenever
+	// Model.Compiled() re-folds. Unexported, so gob skips it.
+	plan atomic.Pointer[encodePlan]
 }
 
 // SetEncodeCache attaches (or with nil detaches) an encode/bin cache. The
@@ -377,6 +383,51 @@ func (p *TicketPredictor) schemaKey() uint64 {
 	return h.Sum64()
 }
 
+// encodePlan scores examples from the columns the model's stumps read: it
+// encodes only those (with only the history sums they need) and maps each
+// value straight to its stump interval, with no quantizing. Scores are
+// bit-identical to the binned path, encodeFor followed by
+// Model.Compiled().ScoreAllWorkers (see ml.ThresholdScorer).
+type encodePlan struct {
+	cols   *features.ColumnSet
+	scorer *ml.ThresholdScorer
+}
+
+// servingPlan returns the predictor's encode plan, folding it on first use
+// and again whenever Model.Compiled() has re-folded since. Like encodeFor,
+// it refuses a schema the encoder cannot produce, used columns or not.
+func (p *TicketPredictor) servingPlan() (*encodePlan, error) {
+	if pl := p.plan.Load(); pl != nil && pl.scorer.Compiled == p.Model.Compiled() {
+		return pl, nil
+	}
+	names := append([]string(nil), p.SelectedCols...)
+	for _, pp := range p.ProductPairs {
+		names = append(names, "prod:"+pp[0]+"*"+pp[1])
+	}
+	if len(names) != len(p.Quant.Cuts) {
+		return nil, fmt.Errorf("core: schema has %d columns, quantizer %d", len(names), len(p.Quant.Cuts))
+	}
+	cfg := features.Config{HistoryWeeks: p.Cfg.HistoryWeeks, Quadratic: p.Cfg.UseDerived}
+	if _, err := features.NewColumnSet(cfg, names); err != nil {
+		return nil, fmt.Errorf("core: schema drift: %w", err)
+	}
+	sc, err := ml.CompileThresholds(p.Model, p.Quant)
+	if err != nil {
+		return nil, err
+	}
+	used := make([]string, len(sc.Features))
+	for k, f := range sc.Features {
+		used[k] = names[f]
+	}
+	cols, err := features.NewColumnSet(cfg, used)
+	if err != nil {
+		return nil, err
+	}
+	pl := &encodePlan{cols: cols, scorer: sc}
+	p.plan.Store(pl)
+	return pl, nil
+}
+
 // encodeFor re-encodes arbitrary examples into the predictor's column
 // schema. With a cache attached, both the base feature encode and the final
 // quantized matrix are memoized (keyed by the examples and the predictor's
@@ -438,13 +489,11 @@ func (p *TicketPredictor) encodeFor(ds *data.Dataset, ix *data.TicketIndex, exam
 // best first. This is the Saturday run: ranking several million lines takes
 // the paper's system under 15 minutes; here it is seconds.
 func (p *TicketPredictor) Rank(ds *data.Dataset, week int) ([]Prediction, error) {
-	ix := data.NewTicketIndex(ds)
 	examples := features.ExamplesForWeeks(ds, []int{week})
-	bm, err := p.encodeFor(ds, ix, examples)
+	scores, err := p.ScoreExamples(ds, examples)
 	if err != nil {
 		return nil, err
 	}
-	scores := p.Model.Compiled().ScoreAllWorkers(bm, p.Cfg.Workers)
 	order := ml.RankDesc(scores)
 	out := make([]Prediction, len(order))
 	for rank, i := range order {
@@ -481,12 +530,37 @@ func (p *TicketPredictor) ScoreExamples(ds *data.Dataset, examples []features.Ex
 // batch entry point for long-lived servers that score many requests against
 // one dataset snapshot: building the index once per snapshot instead of once
 // per request removes an O(tickets) pass from the hot path.
+//
+// With no encode cache attached it scores through the encode plan (see
+// encodePlan); with one, through the memoized binned matrices. Both give
+// the same bits.
 func (p *TicketPredictor) ScoreExamplesIx(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example) ([]float64, error) {
-	bm, err := p.encodeFor(ds, ix, examples)
+	return p.ScoreExamplesFallback(ds, ix, examples, nil)
+}
+
+// ScoreExamplesFallback is ScoreExamplesIx with the encode's imputation
+// fallback supplied. A non-nil fallback must be the vector the encode would
+// compute itself — features.WeekFallback(ds, w) when every example is at
+// week w — and only saves that pass over the population; nil computes it
+// (the mean over the examples' weeks). The cached binned path always
+// computes its own.
+func (p *TicketPredictor) ScoreExamplesFallback(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example, fallback []float32) ([]float64, error) {
+	if p.cache != nil {
+		bm, err := p.encodeFor(ds, ix, examples)
+		if err != nil {
+			return nil, err
+		}
+		return p.Model.Compiled().ScoreAllWorkers(bm, p.Cfg.Workers), nil
+	}
+	pl, err := p.servingPlan()
 	if err != nil {
 		return nil, err
 	}
-	return p.Model.Compiled().ScoreAllWorkers(bm, p.Cfg.Workers), nil
+	enc, err := pl.cols.Encode(ds, ix, examples, fallback, p.Cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return pl.scorer.ScoreWorkers(enc.Cols, len(examples), p.Cfg.Workers)
 }
 
 // PredictExamples scores arbitrary examples and returns full Predictions

@@ -169,7 +169,7 @@ func EncodeCached(c *Cache, ds *data.Dataset, ix *data.TicketIndex, examples []E
 		if v, ok := c.get(baseKey); ok {
 			return v.(*Encoded), nil
 		}
-		enc, err := encodeBase(ds, ix, examples, cfg)
+		enc, err := encodeBase(ds, ix, examples, cfg, allBase, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -184,14 +184,14 @@ func EncodeCached(c *Cache, ds *data.Dataset, ix *data.TicketIndex, examples []E
 	if v, ok := c.get(baseKey); ok {
 		base = v.(*Encoded)
 	} else {
-		enc, err := encodeBase(ds, ix, examples, cfg)
+		enc, err := encodeBase(ds, ix, examples, cfg, allBase, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.put(baseKey, enc)
 		base = enc
 	}
-	enc := withQuadratic(base)
+	enc := AllColumns(cfg).derive(base)
 	c.put(quadKey, enc)
 	return enc, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"nevermind/internal/data"
 	"nevermind/internal/ml"
+	"nevermind/internal/parallel"
 )
 
 // Example is one prediction instance: a line observed at a measurement week.
@@ -109,23 +110,92 @@ func (e *Encoded) IndicesOfGroups(groups ...Group) []int {
 	return out
 }
 
-// Encode builds the Table 3 feature columns for the examples.
+// Encode builds the Table 3 feature columns for the examples: every column
+// of AllColumns(cfg), sequentially, with the imputation fallback averaged
+// over the examples' weeks.
 func Encode(ds *data.Dataset, ix *data.TicketIndex, examples []Example, cfg Config) (*Encoded, error) {
-	cfg = cfg.defaults()
-	enc, err := encodeBase(ds, ix, examples, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Quadratic {
-		enc = withQuadratic(enc)
-	}
-	return enc, nil
+	return AllColumns(cfg).Encode(ds, ix, examples, nil, 1)
 }
 
-// encodeBase builds every non-derived column (the quadratic step is split
-// out so EncodeCached can share one base encode between quadratic and
-// non-quadratic callers).
-func encodeBase(ds *data.Dataset, ix *data.TicketIndex, examples []Example, cfg Config) (*Encoded, error) {
+// colKind says how a base column is computed from an example's current and
+// previous imputed records, its history window and its line's attributes.
+type colKind uint8
+
+const (
+	kindBasic   colKind = iota // cur[f]
+	kindDelta                  // cur[f] - prev[f]
+	kindTS                     // (cur[f] - history mean) / history sd
+	kindRatioDn                // cur[f] / the profile's downstream rate
+	kindRatioUp                // cur[f] / the profile's upstream rate
+	kindTier                   // 1 when the line's profile is f
+	kindTicket                 // days since the line's last ticket
+	kindModem                  // share of history weeks with the modem off
+)
+
+// baseCol is one non-derived Table 3 column: every column but the
+// quadratic and product families.
+type baseCol struct {
+	name        string
+	group       Group
+	categorical bool
+	kind        colKind
+	f           int // basic feature, or profile for kindTier
+}
+
+// baseCols lists the base columns in Encode's order; baseIndex maps a name
+// to its position; allBase selects every one.
+var (
+	baseCols  = makeBaseCols()
+	baseIndex = func() map[string]int {
+		m := make(map[string]int, len(baseCols))
+		for i, c := range baseCols {
+			m[c.name] = i
+		}
+		return m
+	}()
+	allBase = func() []int {
+		all := make([]int, len(baseCols))
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}()
+)
+
+func makeBaseCols() []baseCol {
+	var cols []baseCol
+	for f := 0; f < data.NumBasicFeatures; f++ {
+		cols = append(cols, baseCol{"basic:" + data.BasicFeatureNames[f], GroupBasic, data.CategoricalBasicFeature(f), kindBasic, f})
+	}
+	for f := 0; f < data.NumBasicFeatures; f++ {
+		cols = append(cols, baseCol{"delta:" + data.BasicFeatureNames[f], GroupDelta, false, kindDelta, f})
+	}
+	for f := 0; f < data.NumBasicFeatures; f++ {
+		cols = append(cols, baseCol{"ts:" + data.BasicFeatureNames[f], GroupTS, false, kindTS, f})
+	}
+	cols = append(cols,
+		baseCol{"profile:dnbr_ratio", GroupProfile, false, kindRatioDn, data.FDnBR},
+		baseCol{"profile:upbr_ratio", GroupProfile, false, kindRatioUp, data.FUpBR},
+		baseCol{"profile:dnmax_ratio", GroupProfile, false, kindRatioDn, data.FDnMaxAttainFBR},
+		baseCol{"profile:upmax_ratio", GroupProfile, false, kindRatioUp, data.FUpMaxAttainFBR},
+	)
+	for p := range data.Profiles {
+		cols = append(cols, baseCol{"profile:is_" + data.Profiles[p].Name, GroupProfile, true, kindTier, p})
+	}
+	return append(cols,
+		baseCol{"ticket:days_since_last", GroupTicket, false, kindTicket, 0},
+		baseCol{"modem:off_rate", GroupModem, false, kindModem, 0},
+	)
+}
+
+// encodeBase computes the base columns sel (indices into baseCols,
+// ascending) for the examples, with fallback as the imputation vector for
+// lines with no usable history (nil: the mean over the examples' weeks, see
+// fallbackVector). An example's history sums cover only the ts: features
+// sel asks for. Examples are independent, so chunks of them run on
+// workers (0 = GOMAXPROCS, 1 = sequential) with identical output at any
+// count.
+func encodeBase(ds *data.Dataset, ix *data.TicketIndex, examples []Example, cfg Config, sel []int, fallback []float32, workers int) (*Encoded, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("features: no examples")
 	}
@@ -134,148 +204,133 @@ func encodeBase(ds *data.Dataset, ix *data.TicketIndex, examples []Example, cfg 
 			return nil, fmt.Errorf("features: example (%d,%d) out of range", ex.Line, ex.Week)
 		}
 	}
-	if ix == nil {
-		ix = data.NewTicketIndex(ds)
+	if fallback == nil {
+		fallback = fallbackVector(ds, examples)
+	} else if len(fallback) != data.NumBasicFeatures {
+		return nil, fmt.Errorf("features: fallback has %d values, want %d", len(fallback), data.NumBasicFeatures)
 	}
 	n := len(examples)
-	enc := &Encoded{Examples: examples}
-
-	addCol := func(name string, g Group, categorical bool) []float32 {
-		v := make([]float32, n)
-		enc.Cols = append(enc.Cols, ml.Column{Name: name, Categorical: categorical, Values: v})
-		enc.Groups = append(enc.Groups, g)
-		return v
+	enc := &Encoded{Examples: examples, Cols: make([]ml.Column, len(sel)), Groups: make([]Group, len(sel))}
+	// by[k] lists the selected columns of kind k, so an example fills each
+	// kind in one straight loop.
+	var by [kindModem + 1][]colRef
+	for j, ci := range sel {
+		c := baseCols[ci]
+		vals := make([]float32, n)
+		enc.Cols[j] = ml.Column{Name: c.name, Categorical: c.categorical, Values: vals}
+		enc.Groups[j] = c.group
+		by[c.kind] = append(by[c.kind], colRef{vals, c.f})
+	}
+	ts := by[kindTS]
+	allTS := len(ts) == data.NumBasicFeatures
+	needPrev := len(by[kindDelta]) > 0
+	needHist := len(ts) > 0 || len(by[kindModem]) > 0
+	needProfile := len(by[kindRatioDn]) > 0 || len(by[kindRatioUp]) > 0
+	if len(by[kindTicket]) > 0 && ix == nil {
+		ix = data.NewTicketIndex(ds)
 	}
 
-	// Allocate columns.
-	basic := make([][]float32, data.NumBasicFeatures)
-	delta := make([][]float32, data.NumBasicFeatures)
-	ts := make([][]float32, data.NumBasicFeatures)
-	for f := 0; f < data.NumBasicFeatures; f++ {
-		name := data.BasicFeatureNames[f]
-		basic[f] = addCol("basic:"+name, GroupBasic, data.CategoricalBasicFeature(f))
-	}
-	for f := 0; f < data.NumBasicFeatures; f++ {
-		delta[f] = addCol("delta:"+data.BasicFeatureNames[f], GroupDelta, false)
-	}
-	for f := 0; f < data.NumBasicFeatures; f++ {
-		ts[f] = addCol("ts:"+data.BasicFeatureNames[f], GroupTS, false)
-	}
-	profDn := addCol("profile:dnbr_ratio", GroupProfile, false)
-	profUp := addCol("profile:upbr_ratio", GroupProfile, false)
-	profMaxDn := addCol("profile:dnmax_ratio", GroupProfile, false)
-	profMaxUp := addCol("profile:upmax_ratio", GroupProfile, false)
-	profTier := make([][]float32, len(data.Profiles))
-	for p := range data.Profiles {
-		profTier[p] = addCol("profile:is_"+data.Profiles[p].Name, GroupProfile, true)
-	}
-	ticketDays := addCol("ticket:days_since_last", GroupTicket, false)
-	modemOff := addCol("modem:off_rate", GroupModem, false)
-
-	// Fallback values for lines never measured in the window: per-feature
-	// medians are overkill; the all-lines mean over the examples' weeks is
-	// stable and cheap. Computed lazily from present records.
-	fallback := fallbackVector(ds, examples)
-
-	cur := make([]float32, data.NumBasicFeatures)
-	prev := make([]float32, data.NumBasicFeatures)
-	for i, ex := range examples {
-		imputeAt(ds, ex.Line, ex.Week, cfg.HistoryWeeks, fallback, cur)
-		if ex.Week > 0 {
-			imputeAt(ds, ex.Line, ex.Week-1, cfg.HistoryWeeks, fallback, prev)
-		} else {
-			copy(prev, cur)
-		}
-		for f := 0; f < data.NumBasicFeatures; f++ {
-			basic[f][i] = cur[f]
-			delta[f][i] = cur[f] - prev[f]
-		}
-
-		// Long-term history stats over present records.
-		lo := ex.Week - cfg.HistoryWeeks
-		if lo < 0 {
-			lo = 0
-		}
-		var cnt float64
-		var sum, sumsq [data.NumBasicFeatures]float64
-		missing := 0
-		histN := 0
-		for w := lo; w < ex.Week; w++ {
-			histN++
-			m := ds.At(ex.Line, w)
-			if m.Missing {
-				missing++
-				continue
+	parallel.For(n, workers, func(_, start, end int) {
+		var cur, prev [data.NumBasicFeatures]float32
+		for i := start; i < end; i++ {
+			ex := examples[i]
+			imputeAt(ds, ex.Line, ex.Week, cfg.HistoryWeeks, fallback, cur[:])
+			for _, c := range by[kindBasic] {
+				c.vals[i] = cur[c.f]
 			}
-			cnt++
-			for f := 0; f < data.NumBasicFeatures; f++ {
-				v := float64(m.F[f])
-				sum[f] += v
-				sumsq[f] += v * v
-			}
-		}
-		for f := 0; f < data.NumBasicFeatures; f++ {
-			if cnt >= 3 {
-				mean := sum[f] / cnt
-				variance := sumsq[f]/cnt - mean*mean
-				if variance < 1e-6 {
-					variance = 1e-6
+			if needPrev {
+				if ex.Week > 0 {
+					imputeAt(ds, ex.Line, ex.Week-1, cfg.HistoryWeeks, fallback, prev[:])
+				} else {
+					prev = cur
 				}
-				ts[f][i] = float32((float64(cur[f]) - mean) / math.Sqrt(variance))
+				for _, c := range by[kindDelta] {
+					c.vals[i] = cur[c.f] - prev[c.f]
+				}
+			}
+
+			// Long-term history stats over present records.
+			if needHist {
+				lo := ex.Week - cfg.HistoryWeeks
+				if lo < 0 {
+					lo = 0
+				}
+				var cnt float64
+				var sum, sumsq [data.NumBasicFeatures]float64
+				missing, histN := 0, 0
+				for w := lo; w < ex.Week; w++ {
+					histN++
+					m := ds.At(ex.Line, w)
+					if m.Missing {
+						missing++
+						continue
+					}
+					cnt++
+					if allTS { // Encode's case: a fixed loop over every feature
+						for f := 0; f < data.NumBasicFeatures; f++ {
+							v := float64(m.F[f])
+							sum[f] += v
+							sumsq[f] += v * v
+						}
+						continue
+					}
+					for _, c := range ts {
+						v := float64(m.F[c.f])
+						sum[c.f] += v
+						sumsq[c.f] += v * v
+					}
+				}
+				if cnt >= 3 {
+					for _, c := range ts {
+						mean := sum[c.f] / cnt
+						variance := sumsq[c.f]/cnt - mean*mean
+						if variance < 1e-6 {
+							variance = 1e-6
+						}
+						c.vals[i] = float32((float64(cur[c.f]) - mean) / math.Sqrt(variance))
+					}
+				}
+				if histN > 0 {
+					for _, c := range by[kindModem] {
+						c.vals[i] = float32(missing) / float32(histN)
+					}
+				}
+			}
+
+			if needProfile {
+				prof := ds.Profile(ex.Line)
+				for _, c := range by[kindRatioDn] {
+					c.vals[i] = cur[c.f] / float32(prof.DnKbps)
+				}
+				for _, c := range by[kindRatioUp] {
+					c.vals[i] = cur[c.f] / float32(prof.UpKbps)
+				}
+			}
+			for _, c := range by[kindTier] {
+				if int(ds.ProfileOf[ex.Line]) == c.f {
+					c.vals[i] = 1
+				}
+			}
+			if tk := by[kindTicket]; len(tk) > 0 {
+				day := data.SaturdayOf(ex.Week)
+				v := float32(400) // sentinel: beyond any in-year gap
+				if last, ok := ix.Prev(ex.Line, day); ok {
+					v = float32(day - last)
+				}
+				for _, c := range tk {
+					c.vals[i] = v
+				}
 			}
 		}
-
-		prof := ds.Profile(ex.Line)
-		profDn[i] = cur[data.FDnBR] / float32(prof.DnKbps)
-		profUp[i] = cur[data.FUpBR] / float32(prof.UpKbps)
-		profMaxDn[i] = cur[data.FDnMaxAttainFBR] / float32(prof.DnKbps)
-		profMaxUp[i] = cur[data.FUpMaxAttainFBR] / float32(prof.UpKbps)
-		profTier[ds.ProfileOf[ex.Line]][i] = 1
-
-		day := data.SaturdayOf(ex.Week)
-		if last, ok := ix.Prev(ex.Line, day); ok {
-			ticketDays[i] = float32(day - last)
-		} else {
-			ticketDays[i] = 400 // sentinel: beyond any in-year gap
-		}
-		if histN > 0 {
-			modemOff[i] = float32(missing) / float32(histN)
-		}
-	}
-
+	})
 	return enc, nil
 }
 
-// withQuadratic returns a new Encoded extending base with squares of the
-// signed deviation columns (delta and time-series). The paper's quadratic
-// features "model the variance of each variable": the square of a deviation
-// measures its magnitude regardless of direction, which a single threshold
-// stump cannot. Squares of the positive-valued basic counters are monotone
-// transforms — redundant for stumps — so they would only waste selection
-// slots. The base Encoded is left untouched (its column values are shared,
-// its headers copied), so a cached base can safely serve both quadratic and
-// non-quadratic callers.
-func withQuadratic(base *Encoded) *Encoded {
-	out := &Encoded{
-		Cols:     append(make([]ml.Column, 0, 2*len(base.Cols)), base.Cols...),
-		Groups:   append(make([]Group, 0, 2*len(base.Groups)), base.Groups...),
-		Examples: base.Examples,
-	}
-	for ci, col := range base.Cols {
-		if col.Categorical {
-			continue // the square of a binary indicator is itself
-		}
-		if g := base.Groups[ci]; g != GroupDelta && g != GroupTS {
-			continue
-		}
-		sq := make([]float32, len(col.Values))
-		for i, v := range col.Values {
-			sq[i] = v * v
-		}
-		out.Cols = append(out.Cols, ml.Column{Name: "quad:" + col.Name, Values: sq})
-		out.Groups = append(out.Groups, GroupQuad)
-	}
-	return out
+// colRef is one selected base column: its values and the basic feature (or
+// profile, for kindTier) it reads.
+type colRef struct {
+	vals []float32
+	f    int
 }
 
 // imputeAt fills dst with the line's measurement at week w, carrying the
@@ -322,7 +377,11 @@ func WeekFallback(ds *data.Dataset, week int) []float32 {
 }
 
 // fallbackVector is the mean feature vector over the present records of the
-// examples' weeks. Weeks are summed in ascending order, so the float64 sums
+// examples' weeks: the imputation for lines never measured in the history
+// window (per-feature medians would be overkill; the all-lines mean is
+// stable and cheap). It costs a pass over every line at each week, so a
+// caller scoring one week repeatedly computes it once (WeekFallback) and
+// passes it in. Weeks are summed in ascending order, so the float64 sums
 // (and the encode built on them) do not depend on the examples' order.
 func fallbackVector(ds *data.Dataset, examples []Example) []float32 {
 	var weeks [data.Weeks]bool

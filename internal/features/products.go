@@ -34,14 +34,10 @@ func ProductColumns(enc *Encoded, pairs []Pair) ([]ml.Column, error) {
 			return nil, fmt.Errorf("features: product pair (%d,%d) out of range", p.A, p.B)
 		}
 		a, b := enc.Cols[p.A], enc.Cols[p.B]
-		v := make([]float32, len(a.Values))
-		for i := range v {
-			v[i] = a.Values[i] * b.Values[i]
-		}
 		out = append(out, ml.Column{
 			Name:        "prod:" + a.Name + "*" + b.Name,
 			Categorical: a.Categorical && b.Categorical, // product of indicators is an indicator
-			Values:      v,
+			Values:      productOf(a.Values, b.Values),
 		})
 	}
 	return out, nil

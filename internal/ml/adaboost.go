@@ -11,15 +11,19 @@ import (
 
 // Stump is one weak learner: a one-level decision tree on a quantized
 // feature. An example with bin(feature) <= Cut scores SLow, otherwise SHigh
-// — the S−/S+ confidence-rated outputs of the paper's Fig. 5. Feature -1
+// — the S−/S+ confidence-rated outputs of the paper's Fig. 5. In the raw
+// feature space the low side is value < Threshold. Feature -1
 // marks a constant stump (SLow == SHigh, no feature consulted), emitted for
 // unsplittable tree partitions.
 type Stump struct {
-	Feature   int
-	Cut       uint8
-	SLow      float64
-	SHigh     float64
-	Threshold float32 // original-space cut value, for interpretability
+	Feature int
+	Cut     uint8
+	SLow    float64
+	SHigh   float64
+	// Threshold is the original-space cut value, for interpretability: a
+	// value v scores SLow exactly when v < Threshold (so v == Threshold
+	// scores SHigh).
+	Threshold float32
 }
 
 // BStump is a boosted ensemble of decision stumps — the paper's classifier,
@@ -249,5 +253,5 @@ func (m *BStump) Explain(t int) string {
 	if st.Feature < len(m.Names) && m.Names[st.Feature] != "" {
 		name = m.Names[st.Feature]
 	}
-	return fmt.Sprintf("if %s <= %.4g then %+.3f else %+.3f", name, st.Threshold, st.SLow, st.SHigh)
+	return fmt.Sprintf("if %s < %.4g then %+.3f else %+.3f", name, st.Threshold, st.SLow, st.SHigh)
 }

@@ -155,9 +155,11 @@ func (q *Quantizer) Fingerprint() uint64 {
 // NumBins returns the number of distinct bins for a feature (#cuts + 1).
 func (q *Quantizer) NumBins(feature int) int { return len(q.Cuts[feature]) + 1 }
 
-// CutValue returns the original-space threshold realised by "bin <= b" for a
-// feature, for model interpretability (the paper's Fig. 5 shows thresholds
-// like "delta upbr <= -112").
+// CutValue returns the original-space threshold t realised by "bin <= b"
+// for a feature, for model interpretability: bin <= b holds exactly when
+// the value is < t (the paper's Fig. 5 shows thresholds like
+// "delta upbr <= -112"; with quantile bins the boundary value itself lands
+// on the high side).
 func (q *Quantizer) CutValue(feature, b int) float32 {
 	cuts := q.Cuts[feature]
 	if len(cuts) == 0 {

@@ -18,8 +18,9 @@ import (
 // then serves /v1/score, /v1/rank and the pipeline's weekly ranking as pure
 // table lookups — zero feature encoding, zero float formatting per request.
 //
-// Scores are computed by the exact batch call the legacy per-request path
-// used (ScoreExamplesIx over single-week examples), so a table lookup is
+// Scores come from the predictor's encode plan (ScoreExamplesFallback over
+// single-week examples, with the snapshot's cached week fallback, which is
+// the vector ScoreExamplesIx computes for them), so a table lookup is
 // bit-identical to an uncached PredictExamples for the same example.
 //
 // A snapshot published from a base inherits the base's tables instead of
@@ -107,7 +108,7 @@ func (t *weekTable) build(sn *Snapshot, models *Models) {
 	for l := 0; l < n; l++ {
 		examples[l] = features.Example{Line: data.LineID(l), Week: t.week}
 	}
-	scores, err := models.Pred.ScoreExamplesIx(sn.DS, sn.Ix, examples)
+	scores, err := models.Pred.ScoreExamplesFallback(sn.DS, sn.Ix, examples, sn.weekFallback(t.week))
 	if err != nil {
 		t.err = err
 		return
@@ -138,7 +139,7 @@ func (t *weekTable) patch(sn *Snapshot, models *Models) {
 	for i, l := range t.dirty {
 		examples[i] = features.Example{Line: l, Week: t.week}
 	}
-	scores, err := models.Pred.ScoreExamplesIx(sn.DS, sn.Ix, examples)
+	scores, err := models.Pred.ScoreExamplesFallback(sn.DS, sn.Ix, examples, sn.weekFallback(t.week))
 	if err != nil {
 		t.err = err
 		return
@@ -256,7 +257,7 @@ func carryTables(base, sn *Snapshot, d tableDelta) map[tabKey]*weekTable {
 			lines = d.dirtyLines(w)
 			dirty[w] = lines
 			if d.touchesWeek(w) {
-				moved[w] = !sameBits(features.WeekFallback(base.DS, w), features.WeekFallback(sn.DS, w))
+				moved[w] = !sameBits(base.weekFallback(w), sn.weekFallback(w))
 			}
 		}
 		switch {
@@ -267,6 +268,21 @@ func carryTables(base, sn *Snapshot, d tableDelta) map[tabKey]*weekTable {
 		}
 	}
 	return out
+}
+
+// fallbackSlot is one week's imputation fallback, computed once.
+type fallbackSlot struct {
+	once sync.Once
+	vec  []float32
+}
+
+// weekFallback returns features.WeekFallback(sn.DS, w), computing it at most
+// once per slot. Snapshots share a slot only while their week-w cells agree,
+// so whichever computes it computes the same vector.
+func (sn *Snapshot) weekFallback(w int) []float32 {
+	fs := sn.fallbacks[w]
+	fs.once.Do(func() { fs.vec = features.WeekFallback(sn.DS, w) })
+	return fs.vec
 }
 
 // dirtyLines returns, ascending and unique, the lines whose week-w score the

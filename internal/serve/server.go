@@ -640,7 +640,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("line %d unknown to the store", req.Line))
 		return
 	}
-	post, err := loc.PosteriorsIx(sn.DS, sn.Ix, []core.DispatchCase{{Line: req.Line, Week: req.Week}}, model)
+	post, err := loc.PosteriorsFallback(sn.DS, sn.Ix, []core.DispatchCase{{Line: req.Line, Week: req.Week}}, model, sn.weekFallback(req.Week))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

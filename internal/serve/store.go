@@ -584,6 +584,11 @@ type Snapshot struct {
 	tabMu sync.Mutex
 	tabs  map[tabKey]*weekTable
 	carry map[tabKey]*weekTable
+
+	// fallbacks[w] holds week w's imputation fallback, computed on first
+	// use (see weekFallback). A publish that wrote no week-w cell shares its
+	// base's slot, so snapshots that agree on week w compute it once.
+	fallbacks [data.Weeks]*fallbackSlot
 }
 
 // LinesAt returns the lines with a test record at the given week, ascending
@@ -746,6 +751,7 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 		dirtyWeeks [data.Weeks]bool // weeks whose linesAt needs a rebuild
 		dslamMoved bool
 		newLines   []data.LineID
+		written    uint64 // bit w: some week-w cell was written
 		changed    = tableDelta{cells: writes, tickets: added}
 	)
 	if grew {
@@ -765,6 +771,7 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 	}
 	for _, c := range writes {
 		l := c.line
+		written |= c.weeks
 		for weeks := c.weeks; weeks != 0; weeks &= weeks - 1 {
 			w := bits.TrailingZeros64(weeks)
 			if sn.Present[w][l] {
@@ -822,6 +829,16 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 	}
 	if len(added) > 0 || grew {
 		sn.Ix = data.NewTicketIndex(ds) // indexed by line: grows with the grid
+	}
+	// A week's fallback averages its present cells, so it stands unless a
+	// week-w cell was written (lines the grid grew by hold Missing cells at
+	// every week not written).
+	for w := range sn.fallbacks {
+		if base != nil && written&(1<<w) == 0 {
+			sn.fallbacks[w] = base.fallbacks[w]
+		} else {
+			sn.fallbacks[w] = new(fallbackSlot)
+		}
 	}
 	// Week tables cover [0, NumLines), so a grown grid carries none.
 	if !grew {

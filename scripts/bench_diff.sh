@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf regression gate: rerun the compiled-scoring, serve-score,
 # score-after-ingest, WAL-ingest, ingest-decode, checkpoint-write, recovery,
-# replica-catch-up, drift-monitor and shadow-score benchmarks best-of-3
+# replica-catch-up, drift-monitor, shadow-score, week-table-build and
+# locate benchmarks best-of-3
 # (-count=3; benchjson keeps each benchmark's fastest
 # run, since noise only ever adds time), convert with benchjson, and compare
 # ns/op and allocs/op against the committed BENCH_ml.json via benchdiff.
@@ -22,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-MATCH='ScoreCompiled|ServeScore|ScoreAfterIngest|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|DriftMonitors|ShadowScore'
+MATCH='ScoreCompiled|ServeScore|ScoreAfterIngest|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|DriftMonitors|ShadowScore|WeekTableBuild|Locate$'
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
