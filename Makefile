@@ -68,10 +68,11 @@ bench:
 bench-json:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore|WeekTableBuild|Locate$$' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
 
-# Perf gate: rerun the compiled-scoring, serve-score and score-after-ingest
-# benchmarks (among others; see the script) and fail on a >50% ns/op
-# regression — or an allocs/op regression past the same margin plus two
-# allocs of slack — against the committed BENCH_ml.json.
+# Perf gate, A/B: run the compiled-scoring, serve-score, ingest-decode and
+# score-after-ingest benchmarks (among others; see the script) from the base
+# commit's and the working tree's test binaries, alternating, and fail when
+# the tree's median regresses past the margin on ns/op, or on allocs/op past
+# the same margin plus two allocs of slack.
 bench-diff:
 	./scripts/bench_diff.sh
 
@@ -149,18 +150,20 @@ fuzz:
 
 # Fuzz the serving API's decoders — the ingest body decoder, differentially
 # (the hand decoder against encoding/json: same verdict, error text and
-# float bits) and end to end into a store, the score body decoder,
+# float bits) and end to end into a store, its one-pass float conversion
+# against strconv.ParseFloat bit for bit, the score body decoder,
 # differentially (same verdict, error text, values and nil-versus-empty),
 # and the rank query parser — plus the checkpoint loader, the WAL segment
 # decoder, the replication stream decoder (arbitrary bytes must decode
 # consistently and never panic or corrupt a store), the drift loop's two
 # parsers: /v1/drift query params and the -drift.thresholds spec, and the
 # interval scorer against the binned path (the same score bits for any
-# float32 values). Seed corpora for all ten also run (instantly) in plain
+# float32 values). Seed corpora for all eleven also run (instantly) in plain
 # `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestJSON -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestDecode -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/serve/ -fuzz FuzzFloat32Token -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzScoreDecode -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzRankParams -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzCheckpointDecode -fuzztime 20s -run '^$$'

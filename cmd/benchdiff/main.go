@@ -1,6 +1,7 @@
 // Command benchdiff compares two benchjson reports (see cmd/benchjson) and
 // exits nonzero when any matched benchmark regressed beyond the threshold —
-// the perf gate `make bench-diff` runs against the committed BENCH_ml.json.
+// the perf gate `make bench-diff` runs on the medians of a base commit's and
+// the working tree's alternating runs (scripts/bench_diff.sh).
 // Two axes gate independently: ns/op (throughput) and allocs/op (the
 // zero-alloc serving contract). An allocation regression must clear both the
 // percentage threshold and an absolute slack (default 2 allocs/op), so a

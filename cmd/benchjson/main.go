@@ -9,17 +9,21 @@
 // plus the goos/goarch/pkg/cpu header lines. Non-benchmark lines are ignored,
 // so piping the full `go test` output (including PASS/ok trailers) is fine.
 //
-// Repeated lines for the same benchmark (`-count=N`) collapse to the fastest
-// run — scheduler and neighbor noise only ever adds time, so the minimum
-// ns/op is the best estimate of the code's true cost, and best-of-N is what
-// makes the bench-diff gate stable on a shared machine.
+// Repeated lines for the same benchmark (`-count=N`) collapse to the run
+// with the median ns/op (the lower middle one of an even count), carrying
+// the median allocs/op and B/op: the A/B gate (`make bench-diff`) compares
+// two sides measured in the same host phases, where the middle of each side
+// is the robust summary and the fastest run only measures the quietest
+// moment.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -76,7 +80,8 @@ func parseLine(line string) (result, bool) {
 
 func main() {
 	rep := report{Benchmarks: []result{}}
-	seen := map[string]int{} // name -> index in rep.Benchmarks
+	var names []string // in first-seen order
+	runs := map[string][]result{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -92,14 +97,10 @@ func main() {
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
 			if r, ok := parseLine(line); ok {
-				if i, dup := seen[r.Name]; dup {
-					if r.NsPerOp < rep.Benchmarks[i].NsPerOp {
-						rep.Benchmarks[i] = r
-					}
-				} else {
-					seen[r.Name] = len(rep.Benchmarks)
-					rep.Benchmarks = append(rep.Benchmarks, r)
+				if runs[r.Name] == nil {
+					names = append(names, r.Name)
 				}
+				runs[r.Name] = append(runs[r.Name], r)
 			}
 		}
 	}
@@ -107,10 +108,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	for _, name := range names {
+		rep.Benchmarks = append(rep.Benchmarks, medianOf(runs[name]))
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// medianOf returns the run with the median ns/op of rs, carrying the median
+// B/op and allocs/op.
+func medianOf(rs []result) result {
+	mid := (len(rs) - 1) / 2
+	at := func(key func(result) float64) float64 {
+		vs := make([]float64, len(rs))
+		for i, r := range rs {
+			vs[i] = key(r)
+		}
+		slices.Sort(vs)
+		return vs[mid]
+	}
+	sorted := slices.Clone(rs)
+	slices.SortStableFunc(sorted, func(a, b result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	m := sorted[mid]
+	m.BytesPerOp = at(func(r result) float64 { return r.BytesPerOp })
+	m.AllocsOp = at(func(r result) float64 { return r.AllocsOp })
+	return m
 }

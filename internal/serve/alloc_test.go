@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -112,5 +113,47 @@ func TestRankSteadyStateAllocs(t *testing.T) {
 	get()
 	if allocs := testing.AllocsPerRun(50, get); allocs > steadyStateAllocBudget {
 		t.Errorf("steady-state /v1/rank allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
+	}
+}
+
+// TestBodyParsersDoNotAllocate pins the hand decoders' own cost at zero:
+// with its output buffers already grown, parsing a /v1/score or /v1/ingest
+// body allocates nothing, whatever its size. A parser that escapes to the
+// heap costs one allocation per request.
+func TestBodyParsersDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	for _, lines := range []int{1, 4000} {
+		body := []byte(`{"examples":[`)
+		for l := 0; l < lines; l++ {
+			if l > 0 {
+				body = append(body, ',')
+			}
+			body = fmt.Appendf(body, `{"line":%d,"week":40}`, l)
+		}
+		body = append(body, "]}"...)
+		exs := make([]ScoreExample, 0, lines)
+		score := func() {
+			got, err := parseScore(body, exs)
+			if err != nil || len(got) != lines {
+				t.Fatalf("parseScore: %d examples, %v", len(got), err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
+			t.Errorf("parseScore of %d examples allocates %.2f/op, want 0", lines, allocs)
+		}
+	}
+
+	var ib IngestBody
+	record := []byte(perfbenchRecord)
+	ingest := func() {
+		if err := ib.parse(record); err != nil || !ib.Spanned() {
+			t.Fatalf("parse: spanned %v, %v", ib.Spanned(), err)
+		}
+	}
+	ingest() // grows ib's buffers
+	if allocs := testing.AllocsPerRun(20, ingest); allocs != 0 {
+		t.Errorf("IngestBody.parse allocates %.2f/op, want 0", allocs)
 	}
 }

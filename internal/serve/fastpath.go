@@ -84,7 +84,7 @@ func parseScoreBody(body []byte, exs []ScoreExample) ([]ScoreExample, bool) {
 	p.ws()
 	ok := p.object(scoreKeys, func(int) bool {
 		present = true
-		return p.array(func(p *fastParser) bool {
+		return p.array(func() bool {
 			var e ScoreExample
 			ok := p.object(exampleKeys, func(k int) bool {
 				if k == 0 {
@@ -252,12 +252,12 @@ func (ib *IngestBody) parseFast(body []byte) bool {
 			switch {
 			case !haveTests && p.lit(`"tests"`):
 				haveTests = true
-				if !p.colon() || !p.array(ib.test) {
+				if !p.colon() || !p.array(func() bool { return ib.test(&p) }) {
 					return false
 				}
 			case !haveTickets && p.lit(`"tickets"`):
 				haveTickets = true
-				if !p.colon() || !p.array(ib.ticket) {
+				if !p.colon() || !p.array(func() bool { return ib.ticket(&p) }) {
 					return false
 				}
 			default:
@@ -382,7 +382,7 @@ func (ib *IngestBody) ticket(p *fastParser) bool {
 // the old array, whose values no later append touches.
 func (ib *IngestBody) features(p *fastParser, r *TestRecord) bool {
 	start := len(ib.floats)
-	ok := p.array(func(p *fastParser) bool {
+	ok := p.array(func() bool {
 		v, ok := p.float32()
 		ib.floats = appendDoubling(ib.floats, v)
 		return ok
@@ -509,51 +509,130 @@ func (p *fastParser) uint8() (uint8, bool) {
 
 // float32 parses a float32 field as encoding/json does: the token must match
 // the JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
-// and converts with strconv.ParseFloat(tok, 32); a conversion error
-// (magnitude past float32) bails to the strict decoder. The grammar check
-// comes first because ParseFloat also takes "+1", ".5", "1.", "01", "0x1p3",
-// "Inf" and "NaN", which JSON does not.
+// and its value is strconv.ParseFloat(tok, 32)'s, the call encoding/json
+// makes; a conversion error (magnitude past float32) bails to the strict
+// decoder. The grammar check matters because ParseFloat also takes "+1",
+// ".5", "1.", "01", "0x1p3", "Inf" and "NaN", which JSON does not.
+//
+// The pass that checks the grammar also gathers the token's first 19
+// significant digits into a uint64 mantissa m and a decimal exponent e, so
+// that most tokens convert without a second scan (Clinger's fast path):
+// when m < 2^53 and |e| <= 22, both float64(m) and 10^|e| are exact, so
+// y = m·10^e (or m/10^-e) is the correctly rounded float64 of the decimal.
+// Every float32 rounding boundary in the normal range is itself a float64,
+// so rounding y to float32 rounds the decimal correctly too, unless y lies
+// exactly on a boundary (a tie: its low 29 mantissa bits are 1<<28), where
+// the decimal may sit just off it. Under those bounds y lies in
+// [1e-22, 9.1e37], inside the normal float32 range, where that holds. Ties,
+// mantissas past 19 digits or 2^53, larger exponents and exponents of 1e4
+// and up (where strconv stops reading exponent digits, so its value is no
+// longer the token's) go to ParseFloat, which also rounds correctly, so
+// both paths give encoding/json's bits.
 func (p *fastParser) float32() (float32, bool) {
 	b, i := p.b, p.i
 	start := i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var (
+		m     uint64 // the first 19 significant digits
+		nd    int    // digits in m
+		e     int    // the value is m·10^e, up to truncation
+		trunc bool   // a nonzero digit past the 19th was dropped, or the exponent field reached 1e4
+	)
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if nd < 19 {
+				m = m*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				e++
+				trunc = trunc || b[i] != '0'
+			}
+		}
 	default:
 		return 0, false
 	}
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
+		i++
+		j := i
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			switch {
+			case nd == 0 && b[i] == '0': // a leading zero only scales
+				e--
+			case nd < 19:
+				m = m*10 + uint64(b[i]-'0')
+				nd++
+				e--
+			default:
+				trunc = trunc || b[i] != '0'
+			}
+		}
+		if i == j {
 			return 0, false
 		}
-		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
+		j := i
+		x := 0
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if x < 1e4 {
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
 			return 0, false
 		}
-		i = j
+		trunc = trunc || x >= 1e4
+		if eneg {
+			x = -x
+		}
+		e += x
 	}
 	p.i = i
 	if !p.numberEnds() {
 		return 0, false
+	}
+	if m == 0 {
+		if neg {
+			return float32(math.Copysign(0, -1)), true
+		}
+		return 0, true
+	}
+	if !trunc && m < 1<<53 && e >= -22 && e <= 22 {
+		y := float64(m)
+		if e < 0 {
+			y /= exactPow10[-e]
+		} else {
+			y *= exactPow10[e]
+		}
+		if math.Float64bits(y)&(1<<29-1) != 1<<28 {
+			if neg {
+				y = -y
+			}
+			return float32(y), true
+		}
 	}
 	f, err := strconv.ParseFloat(string(b[start:i]), 32)
 	if err != nil {
 		return 0, false
 	}
 	return float32(f), true
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // skipDigits returns the index of the first non-digit in b at or after i.
@@ -587,8 +666,10 @@ func (p *fastParser) more() bool {
 	return true
 }
 
-// array parses one JSON array, each element by elem.
-func (p *fastParser) array(elem func(*fastParser) bool) bool {
+// array parses one JSON array, each element by elem, which parses from the
+// same cursor. elem takes no parser argument: handing p to a function value
+// would make every caller's fastParser escape to the heap.
+func (p *fastParser) array(elem func() bool) bool {
 	if !p.eat('[') {
 		return false
 	}
@@ -597,7 +678,7 @@ func (p *fastParser) array(elem func(*fastParser) bool) bool {
 		return true
 	}
 	for {
-		if !elem(p) {
+		if !elem() {
 			return false
 		}
 		if !p.more() {
