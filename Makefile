@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test test-repeat race bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
+.PHONY: all check fmt build vet test test-repeat race bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments experiments-golden examples fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -13,9 +13,10 @@ all: build vet test
 # rot, the perf-regression diff against the committed baseline, end-to-end
 # smokes of the daemon, of the sharded fleet, and of a kill -9/restart over
 # the write-ahead log, a short fuzz pass over the API decoders, the chaos
-# smoke (daemon under injected faults), and the drift smoke (the
-# monitor/retrain/promote loop end to end over HTTP).
-check: fmt build vet test test-repeat race bench-smoke bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke
+# smoke (daemon under injected faults), the drift smoke (the
+# monitor/retrain/promote loop end to end over HTTP), and the training
+# golden at two worker counts.
+check: fmt build vet test test-repeat race bench-smoke bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke experiments-golden
 
 # Format gate: fail when gofmt would change any tracked Go file. It only
 # lists files, never rewrites them; run `gofmt -w` on what it prints.
@@ -54,7 +55,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Machine-readable numbers for the ML and serving hot paths (reference vs
-# compiled scoring, training, transform, the serve endpoint, scoring after a
+# compiled scoring, training, transform, the serve endpoint at a whole
+# population and at the one- and 48-line sizes a desk sends, scoring after a
 # feed re-ingest, the base-less vs base-derived snapshot publish, the store's
 # heap per line, the fleet gateway's scatter-gather score/rank paths, the
 # /v1/ingest body decoder, the durability axis: ingest with the WAL off vs
@@ -66,7 +68,7 @@ bench:
 # BENCH_ml.json is committed so perf diffs show up in review. GOMAXPROCS=1
 # keeps benchmark names free of the -N CPU suffix bench-diff matches on.
 bench-json:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore|WeekTableBuild|Locate$$' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ScoreAllWorkers|ScoreCompiled|CompileBStump|TrainBStump|Transform|FeatureScores|ServeScore|ServeLookup|ScoreAfterIngest|Snapshot|StoreFootprint|FleetScore|FleetRank|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|GatewayScoreReplicas|DriftMonitors|ShadowScore|WeekTableBuild|Locate$$' -benchmem . 2>&1 | tee bench_output.txt | $(GO) run ./cmd/benchjson > BENCH_ml.json
 
 # Perf gate, A/B: run the compiled-scoring, serve-score, ingest-decode and
 # score-after-ingest benchmarks (among others; see the script) from the base
@@ -134,6 +136,18 @@ chaos-soak:
 # Regenerate every table and figure at full scale (~2 min on one core).
 experiments:
 	$(GO) run ./cmd/experiments -exp all
+
+# Training golden: every paper artifact at a reduced scale (about 40 s at
+# one worker), diffed byte for byte against the committed output at one
+# worker and at two, so a change that claims to leave training alone proves
+# it. A change that moves it regenerates the file with the same command and
+# names its cause in CHANGES.md.
+experiments-golden:
+	@for w in 1 2; do \
+		$(GO) run ./cmd/experiments -exp all -lines 4000 -rounds 60 -locrounds 30 -workers $$w 2>/dev/null \
+			| diff -u docs/experiments-output-4k-seed42.txt - \
+			|| { echo "experiments-golden: -workers $$w differs from docs/experiments-output-4k-seed42.txt"; exit 1; }; \
+	done
 
 # Run every example end to end.
 examples:

@@ -458,6 +458,55 @@ func BenchmarkServeScore(b *testing.B) {
 	}
 }
 
+// BenchmarkServeLookup measures one /v1/score the size a care desk sends
+// through the handler against the resident week-43 table: one line (60% of
+// perfbench desk's reads) and one DSLAM's 48 lines (20%). It is the
+// in-process twin of perfbench's serve.handler_us.score; BenchmarkServeScore
+// times the whole population in one request, which no workload sends.
+func BenchmarkServeLookup(b *testing.B) {
+	ctx := benchContext(b)
+	pred, err := ctx.StandardPredictor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Predictor: pred})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := ctx.DS
+	populateServeStore(b, srv, ds)
+	handler := srv.Handler()
+	for _, n := range []int{1, 48} {
+		b.Run(fmt.Sprintf("lines=%d", n), func(b *testing.B) {
+			body := []byte(`{"examples":[`)
+			for k := 0; k < n; k++ {
+				if k > 0 {
+					body = append(body, ',')
+				}
+				body = fmt.Appendf(body, `{"line":%d,"week":43}`, (k*97+11)%ds.NumLines)
+			}
+			body = append(body, "]}"...)
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/v1/score", rd)
+			sink := &sinkResponseWriter{h: make(http.Header, 4)}
+			post := func() {
+				rd.Seek(0, io.SeekStart)
+				sink.code, sink.n = 0, 0
+				handler.ServeHTTP(sink, req)
+				if sink.code != http.StatusOK {
+					b.Fatalf("score: status %d", sink.code)
+				}
+			}
+			post() // warm the snapshot and the week's score table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+		})
+	}
+}
+
 // BenchmarkScoreAfterIngest measures the score-table layer under a live
 // feed: with the week 35-43 tables resident, each op re-ingests 200 week-43
 // records (a feed retry re-delivering the values the store holds) and then

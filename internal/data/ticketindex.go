@@ -1,6 +1,9 @@
 package data
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TicketIndex is a per-line index over customer-edge ticket arrival days.
 // Labelling the training set asks "does line u file a ticket in (t, t+T]?"
@@ -21,8 +24,11 @@ func NewTicketIndex(d *Dataset) *TicketIndex {
 	}
 	for _, s := range ix.days {
 		// Dataset tickets are sorted by day already; sort defensively in
-		// case the index is built from an unvalidated dataset.
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		// case the index is built from an unvalidated dataset. Most lines
+		// hold no ticket or one, which is sorted as it stands.
+		if len(s) > 1 {
+			slices.Sort(s)
+		}
 	}
 	return ix
 }

@@ -342,14 +342,33 @@ type ingestReply struct {
 	Version         uint64 `json:"version"`
 }
 
+// ingestScratch is one gateway ingest's reusable buffers: the body as read
+// and its decode. Neither outlives the request: the shard sub-bodies are
+// copies.
+type ingestScratch struct {
+	body []byte
+	ib   serve.IngestBody
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
+	sc := ingestPool.Get().(*ingestScratch)
+	defer func() {
+		// As in the daemon: a bulk load's buffers are not pinned in the pool.
+		if cap(sc.body) > serve.MaxPooledIngest {
+			sc.body, sc.ib = nil, serve.IngestBody{}
+		}
+		ingestPool.Put(sc)
+	}()
+	body, err := serve.ReadBody(w, r, sc.body)
+	sc.body = body
 	if err != nil {
 		writeError(w, http.StatusBadRequest, serve.IngestReadError(body, err))
 		return
 	}
-	ib, err := serve.ParseIngest(body)
-	if err != nil {
+	ib := &sc.ib
+	if err := ib.Parse(body); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -119,7 +120,9 @@ func TestRankSteadyStateAllocs(t *testing.T) {
 // TestBodyParsersDoNotAllocate pins the hand decoders' own cost at zero:
 // with its output buffers already grown, parsing a /v1/score or /v1/ingest
 // body allocates nothing, whatever its size. A parser that escapes to the
-// heap costs one allocation per request.
+// heap costs one allocation per request. A bulk ingest body decoded in
+// pieces allocates only its goroutine launches: one per piece but the last,
+// so at most GOMAXPROCS-1.
 func TestBodyParsersDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
@@ -148,12 +151,34 @@ func TestBodyParsersDoNotAllocate(t *testing.T) {
 	var ib IngestBody
 	record := []byte(perfbenchRecord)
 	ingest := func() {
-		if err := ib.parse(record); err != nil || !ib.Spanned() {
+		if err := ib.Parse(record); err != nil || !ib.Spanned() {
 			t.Fatalf("parse: spanned %v, %v", ib.Spanned(), err)
 		}
 	}
 	ingest() // grows ib's buffers
 	if allocs := testing.AllocsPerRun(20, ingest); allocs != 0 {
-		t.Errorf("IngestBody.parse allocates %.2f/op, want 0", allocs)
+		t.Errorf("IngestBody.Parse allocates %.2f/op, want 0", allocs)
+	}
+
+	// AllocsPerRun runs at GOMAXPROCS=1, where Parse decodes serially, so
+	// the bulk body's cut search takes the CPU count from outside it (two on
+	// a one-CPU host, so that the piece path runs).
+	procs := max(runtime.GOMAXPROCS(0), 2)
+	bulk := bulkIngestBody(2048)
+	cut := func(dst []int, b []byte, start int) []int {
+		return testCuts(dst, b, start, minIngestPiece, procs)
+	}
+	ingestBulk := func() {
+		if err := ib.decode(bulk, cut); err != nil || !ib.Spanned() || len(ib.Tests) != 2048 {
+			t.Fatalf("parse: %d tests, spanned %v, %v", len(ib.Tests), ib.Spanned(), err)
+		}
+	}
+	ingestBulk() // grows the pieces' buffers
+	if len(ib.cuts) == 0 {
+		t.Fatalf("a %d-byte body was not cut", len(bulk))
+	}
+	if allocs := testing.AllocsPerRun(20, ingestBulk); allocs > float64(procs-1) {
+		t.Errorf("IngestBody.decode of a bulk body in %d pieces allocates %.2f/op, want at most %d (its goroutine launches)",
+			len(ib.cuts)+1, allocs, procs-1)
 	}
 }

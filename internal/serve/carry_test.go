@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -21,24 +22,24 @@ import (
 const carryFirstWeek, carryLastWeek = 35, 43
 
 // assertTablesIdentical compares a served table with a from-scratch one bit
-// for bit: scores, probabilities, fragment bytes and the ranked order.
+// for bit: scores, probabilities, each line's rendered fragment bytes and
+// the ranked order.
 func assertTablesIdentical(t *testing.T, tag string, got *weekTable, gotSn *Snapshot, want *weekTable, wantSn *Snapshot) {
 	t.Helper()
-	if len(got.scores) != len(want.scores) || len(got.fragOff) != len(want.fragOff) {
+	if len(got.scores) != len(want.scores) || len(got.probs) != len(want.probs) {
 		t.Fatalf("%s: table covers %d lines, rebuild %d", tag, len(got.scores), len(want.scores))
 	}
+	var gf, wf []byte
 	for l := range want.scores {
 		if math.Float64bits(got.scores[l]) != math.Float64bits(want.scores[l]) ||
 			math.Float64bits(got.probs[l]) != math.Float64bits(want.probs[l]) {
 			t.Fatalf("%s: line %d scored %v/%v, rebuild %v/%v", tag, l,
 				got.scores[l], got.probs[l], want.scores[l], want.probs[l])
 		}
-		if !bytes.Equal(got.frag(data.LineID(l)), want.frag(data.LineID(l))) {
-			t.Fatalf("%s: line %d fragment %s, rebuild %s", tag, l, got.frag(data.LineID(l)), want.frag(data.LineID(l)))
+		gf, wf = got.appendFrag(gf[:0], data.LineID(l)), want.appendFrag(wf[:0], data.LineID(l))
+		if !bytes.Equal(gf, wf) {
+			t.Fatalf("%s: line %d fragment %s, rebuild %s", tag, l, gf, wf)
 		}
-	}
-	if !bytes.Equal(got.frags, want.frags) {
-		t.Fatalf("%s: fragment bytes diverged", tag)
 	}
 	gr, wr := got.rankedLines(gotSn), want.rankedLines(wantSn)
 	if len(gr) != len(wr) {
@@ -333,4 +334,44 @@ func TestCarryRescoresOnlyDirtyLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTablesIdentical(t, "patched vs rebuild", tab, sn, want, ref)
+}
+
+// TestRankByScoreMatchesSort: ranking from packed keys gives, line for
+// line, the order the table served before it, a sort.Slice over line ids
+// by (score desc, line asc). The scores force ties: a few distinct values,
+// +0 beside -0, and dark lines that all score the week's fallback.
+func TestRankByScoreMatchesSort(t *testing.T) {
+	r := rng.Derive(29, 0)
+	for _, n := range []int{0, 1, 2, 1023, 32768} {
+		scores := make([]float64, n+n/3) // the table covers absent lines too
+		fallback := r.Normal(0, 1)
+		for l := range scores {
+			switch r.Intn(5) {
+			case 0:
+				scores[l] = fallback
+			case 1:
+				scores[l] = 0
+			case 2:
+				scores[l] = math.Copysign(0, -1)
+			default:
+				scores[l] = float64(r.Intn(40))/8 - 2.5
+			}
+		}
+		perm := r.Perm(len(scores))[:n]
+		slices.Sort(perm)
+		lines := make([]data.LineID, n)
+		for i, l := range perm {
+			lines[i] = data.LineID(l)
+		}
+		want := slices.Clone(lines)
+		sort.Slice(want, func(a, b int) bool {
+			if scores[want[a]] != scores[want[b]] {
+				return scores[want[a]] > scores[want[b]]
+			}
+			return want[a] < want[b]
+		})
+		if got := rankByScore(scores, lines); !slices.Equal(got, want) {
+			t.Fatalf("%d lines: packed-key rank differs from the reference sort", n)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -561,5 +562,125 @@ func TestWriteTrackingBounded(t *testing.T) {
 	}
 	if d, _ := tracked(); d != 0 {
 		t.Fatalf("%d dirty lines after the publish", d)
+	}
+}
+
+// TestPublishListsLinesOnce: a publish lists a line in Lines once, the
+// first time a publish reads it, whatever the writes in between. After each
+// step a base-derived publish must equal a from-scratch one of the same
+// state (Lines, every LinesAt, cells and tickets), through a re-ingest of a
+// listed line's only week (which leaves its seen and dirty bits equal, as
+// on a new line), a cache reset, grid growth past a chunk and a shard, and
+// a checkpoint restore followed by WAL replay and live ingest.
+func TestPublishListsLinesOnce(t *testing.T) {
+	rec := func(l data.LineID, w int) TestRecord {
+		return TestRecord{Line: l, Week: w, F: []float32{float32(l), float32(w)}, DSLAM: int32(l % 5)}
+	}
+	ingest := func(s *Store, recs ...TestRecord) {
+		t.Helper()
+		if _, err := s.IngestTests(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check publishes s from its last snapshot, then from scratch, and
+	// compares; the from-scratch one is the base of the next step's.
+	check := func(tag string, s *Store) {
+		t.Helper()
+		inc := s.Snapshot()
+		s.ResetSnapshotCache()
+		full := s.Snapshot()
+		assertSnapshotsIdentical(t, tag, inc, full)
+		if !slices.IsSorted(full.Lines) || len(slices.Compact(slices.Clone(full.Lines))) != len(full.Lines) {
+			t.Fatalf("%s: from-scratch Lines %v not strictly ascending", tag, full.Lines)
+		}
+	}
+
+	s := NewStore(2)
+	ingest(s, rec(3, 40), rec(5, 41))
+	s.Snapshot()
+	ingest(s, rec(3, 40)) // line 3's only week again
+	check("re-ingest of a listed line's only week", s)
+	ingest(s, rec(3, 40), rec(4, 40), rec(5, 41))
+	check("a new line beside re-ingests", s)
+	ingest(s, rec(4, 40))
+	s.Snapshot()
+	s.ResetSnapshotCache()
+	ingest(s, rec(4, 40))
+	check("re-ingest after a cache reset", s)
+	ingest(s, rec(data.LineID(2*data.GridChunkLines+7), 42), rec(5, 41))
+	check("grid growth with a re-ingest", s)
+	ingest(s, rec(data.LineID(2*data.GridChunkLines+7), 42))
+	check("re-ingest of the line the grid grew for", s)
+
+	dir := t.TempDir()
+	if _, err := s.WriteCheckpoint(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := wal.Checkpoints(dir)
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("checkpoints %v, %v", paths, err)
+	}
+	r := NewStore(2)
+	if _, err := r.LoadCheckpoint(paths[0].Path); err != nil {
+		t.Fatal(err)
+	}
+	r.Snapshot()
+	replay := &wal.Record{Version: r.Version() + 1, Op: wal.OpTests, Tests: []wal.TestRec{
+		{Line: 3, Week: 40, F: []float32{9}}, {Line: 6, Week: 43, F: []float32{1}},
+	}}
+	if err := r.ApplyWALRecord(replay); err != nil {
+		t.Fatal(err)
+	}
+	check("WAL replay after a checkpoint restore", r)
+	ingest(r, rec(6, 43), rec(5, 41))
+	check("live ingest after the replay", r)
+}
+
+// TestPublishMergesTickets: a publish merges the tickets it adds into its
+// base's sorted list. After random ticket batches, including duplicates and
+// tickets on lines past the grid that a later growth re-adds, a snapshot's
+// tickets must equal the sorted union of those on its grid, and its index a
+// fresh NewTicketIndex over them.
+func TestPublishMergesTickets(t *testing.T) {
+	s := NewStore(4)
+	r := rng.Derive(23, 0)
+	union := make(map[data.Ticket]bool)
+	maxLine := 1
+	if _, err := s.IngestTests([]TestRecord{{Line: 0, Week: 40}}); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 300; step++ {
+		switch r.Intn(3) {
+		case 0:
+			recs := make([]TicketRecord, 1+r.Intn(12))
+			for i := range recs {
+				recs[i] = TicketRecord{ID: r.Intn(30), Line: data.LineID(r.Intn(maxLine + 400)),
+					Day: r.Intn(data.DaysInYear), Category: uint8(r.Intn(int(data.CatOther) + 1))}
+				union[data.Ticket{ID: recs[i].ID, Line: recs[i].Line, Day: recs[i].Day, Category: data.TicketCategory(recs[i].Category)}] = true
+			}
+			if _, err := s.IngestTickets(recs); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			maxLine += r.Intn(300)
+			if _, err := s.IngestTests([]TestRecord{{Line: data.LineID(maxLine - 1), Week: 40}}); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			sn := s.Snapshot()
+			var want []data.Ticket
+			for tk := range union {
+				if int(tk.Line) < sn.DS.NumLines {
+					want = append(want, tk)
+				}
+			}
+			sortTickets(want)
+			if !slices.Equal(sn.DS.Tickets, want) {
+				t.Fatalf("step %d: %d tickets, want the %d of the union on the grid", step, len(sn.DS.Tickets), len(want))
+			}
+			if !reflect.DeepEqual(sn.Ix, data.NewTicketIndex(sn.DS)) {
+				t.Fatalf("step %d: ticket index differs from a fresh one", step)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -36,13 +37,20 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// readBody slurps the request body into sc's pooled buffer under the same
-// MaxBodyBytes cap the legacy decoder enforced (and the same "http: request
-// body too large" error past it). On a read error it also returns the bytes
-// read before it.
+// readBody slurps the request body into sc's pooled buffer (ReadBody).
 func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, error) {
+	body, err := ReadBody(w, r, sc.body)
+	sc.body = body
+	return body, err
+}
+
+// ReadBody reads r's body into buf's backing array, growing it as needed,
+// under the same MaxBodyBytes cap the legacy decoder enforced (and the same
+// "http: request body too large" error past it). It returns the bytes read,
+// on a read error those read before it, in the grown buffer, which the
+// caller keeps for its next request.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	buf := sc.body
 	if cap(buf) == 0 {
 		buf = make([]byte, 0, 64<<10)
 	}
@@ -56,11 +64,9 @@ func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, erro
 		n, err := rd.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			sc.body = buf
 			return buf, nil
 		}
 		if err != nil {
-			sc.body = buf
 			return buf, err
 		}
 	}
@@ -148,8 +154,8 @@ func ParseScoreExamples(body []byte) ([]ScoreExample, error) {
 // the record's '{' through its '}'.
 type Span struct{ Start, End int }
 
-// IngestBody is a /v1/ingest body decoded by ParseIngest. When the fast
-// grammar decoded it (Spanned), TestSpans[i] and TicketSpans[i] locate
+// IngestBody is a /v1/ingest body decoded by ParseIngest or Parse. When the
+// fast grammar decoded it (Spanned), TestSpans[i] and TicketSpans[i] locate
 // Tests[i] and Tickets[i] in the body, so a record can be forwarded as the
 // bytes the client sent.
 type IngestBody struct {
@@ -158,6 +164,18 @@ type IngestBody struct {
 	TicketSpans []Span
 	spanned     bool
 	floats      []float32 // the backing array every fast-decoded F is carved from
+
+	// The piece decode's buffers (see tests), kept for the next body.
+	cuts   []int
+	pieces []testPiece
+	wg     sync.WaitGroup
+}
+
+// testPiece is one piece of a "tests" array, decoded on its own goroutine
+// into its own buffers (out's Tests, TestSpans and floats).
+type testPiece struct {
+	out IngestBody
+	ok  bool
 }
 
 // Spanned reports whether the fast grammar decoded the body, so that the
@@ -169,7 +187,7 @@ func (ib *IngestBody) Spanned() bool { return ib.spanned }
 // accepted bodies, the decoded values and the error text are encoding/json's.
 func ParseIngest(body []byte) (*IngestBody, error) {
 	ib := new(IngestBody)
-	if err := ib.parse(body); err != nil {
+	if err := ib.Parse(body); err != nil {
 		return nil, err
 	}
 	return ib, nil
@@ -206,18 +224,39 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// parse decodes body into ib, reusing ib's buffers. Records decoded by the
-// fast grammar point into those buffers (F into ib.floats), so a pooled
-// IngestBody's records must not outlive the request; the store copies the
-// values it keeps and the WAL encodes a batch before IngestTests returns.
-func (ib *IngestBody) parse(body []byte) error {
-	if ib.parseFast(body) {
+// Parse decodes body into ib exactly as ParseIngest does, reusing ib's
+// buffers. Records decoded by the fast grammar point into those buffers (F
+// into ib.floats and the pieces' float buffers), so a pooled IngestBody's
+// records must not outlive the request; the store copies the values it
+// keeps and the WAL encodes a batch before IngestTests returns.
+func (ib *IngestBody) Parse(body []byte) error {
+	return ib.decode(body, cpuCuts)
+}
+
+// minIngestPiece is the least "tests" array bytes (about 250 records) a
+// piece decode hands one goroutine; a smaller body, such as a feed's
+// 200-record batch, decodes on the caller's goroutine alone.
+const minIngestPiece = 64 << 10
+
+// cutSearch appends to dst where to cut a "tests" array whose first record
+// starts at b[start] (see tests).
+type cutSearch func(dst []int, b []byte, start int) []int
+
+// cpuCuts is Parse's cut search: up to one piece per CPU, each at least
+// minIngestPiece bytes.
+func cpuCuts(dst []int, b []byte, start int) []int {
+	return testCuts(dst, b, start, minIngestPiece, runtime.GOMAXPROCS(0))
+}
+
+// decode is Parse with the cut search as a parameter.
+func (ib *IngestBody) decode(body []byte, cut cutSearch) error {
+	if ib.parseFast(body, cut) {
 		return nil
 	}
 	// The fast grammar balked: the strict reflective decoder phrases the
 	// error, or decodes a valid body the grammar is too narrow for (escaped
 	// or case-folded keys, duplicate keys, null).
-	*ib = IngestBody{floats: ib.floats}
+	*ib = IngestBody{floats: ib.floats, cuts: ib.cuts, pieces: ib.pieces}
 	return DecodeStrict(bytes.NewReader(body), &ib.IngestRequest)
 }
 
@@ -234,8 +273,9 @@ func (ib *IngestBody) parse(body []byte) error {
 // null, out-of-range or non-JSON numbers, trailing data) returns false for
 // DecodeStrict to decide, so the grammar only ever accepts what
 // encoding/json accepts, with the same values. Absent arrays stay nil and
-// present ones do not, as encoding/json leaves them.
-func (ib *IngestBody) parseFast(body []byte) bool {
+// present ones do not, as encoding/json leaves them. The "tests" array is
+// decoded in the pieces cut marks out (see tests).
+func (ib *IngestBody) parseFast(body []byte, cut cutSearch) bool {
 	ib.Tests, ib.Tickets = ib.Tests[:0], ib.Tickets[:0]
 	ib.TestSpans, ib.TicketSpans = ib.TestSpans[:0], ib.TicketSpans[:0]
 	ib.floats = ib.floats[:0]
@@ -252,7 +292,7 @@ func (ib *IngestBody) parseFast(body []byte) bool {
 			switch {
 			case !haveTests && p.lit(`"tests"`):
 				haveTests = true
-				if !p.colon() || !p.array(func() bool { return ib.test(&p) }) {
+				if !p.colon() || !ib.tests(&p, cut) {
 					return false
 				}
 			case !haveTickets && p.lit(`"tickets"`):
@@ -297,6 +337,156 @@ var (
 	testKeys   = []string{`"line"`, `"week"`, `"missing"`, `"f"`, `"profile"`, `"dslam"`, `"usage"`}
 	ticketKeys = []string{`"id"`, `"line"`, `"day"`, `"category"`}
 )
+
+// tests parses the "tests" array at the cursor. When cut marks out places
+// to cut it (ascending, past its first record's '{', inside the body, each
+// a ','), the pieces before the last cut decode on their own goroutines
+// into their own buffers, and this goroutine decodes the records after it
+// and the array's end. Each piece must parse as object (, object)* and end
+// exactly at its cut, so the pieces joined at the cut commas are the
+// array's own object (, object)* production: the same records, spans and
+// floats as a serial parse, in the same order. When any piece fails (a cut
+// fell outside the array or inside a record, or the body is malformed), the
+// array is decoded again serially from its start, so where a cut lands
+// never decides the outcome.
+func (ib *IngestBody) tests(p *fastParser, cut cutSearch) bool {
+	if !p.eat('[') {
+		return false
+	}
+	p.ws()
+	if p.eat(']') {
+		return true
+	}
+	start := p.i
+	cuts := cut(ib.cuts[:0], p.b, start)
+	ib.cuts = cuts
+	for _, c := range cuts {
+		if p.b[c] != ',' {
+			cuts = nil
+			break
+		}
+	}
+	if len(cuts) == 0 {
+		return ib.testRecords(p)
+	}
+	for len(ib.pieces) < len(cuts) {
+		ib.pieces = append(ib.pieces, testPiece{})
+	}
+	ib.wg.Add(len(cuts))
+	from := start
+	for j, c := range cuts {
+		go ib.testPiece(j, p.b[:c], from)
+		from = c + 1
+	}
+	p.i = from
+	p.ws()
+	ok := ib.testRecords(p)
+	ib.wg.Wait()
+	for j := range cuts {
+		ok = ok && ib.pieces[j].ok
+	}
+	if !ok {
+		ib.Tests, ib.TestSpans, ib.floats = ib.Tests[:0], ib.TestSpans[:0], ib.floats[:0]
+		p.i = start
+		return ib.testRecords(p)
+	}
+	// Join in piece order: the pieces' records go ahead of this goroutine's.
+	// Their F slices stay in the pieces' float buffers.
+	m := 0
+	for j := range cuts {
+		m += len(ib.pieces[j].out.Tests)
+	}
+	n := len(ib.Tests)
+	ib.Tests = slices.Grow(ib.Tests, m)[:n+m]
+	ib.TestSpans = slices.Grow(ib.TestSpans, m)[:n+m]
+	copy(ib.Tests[m:], ib.Tests[:n])
+	copy(ib.TestSpans[m:], ib.TestSpans[:n])
+	at := 0
+	for j := range cuts {
+		out := &ib.pieces[j].out
+		copy(ib.TestSpans[at:], out.TestSpans)
+		at += copy(ib.Tests[at:], out.Tests)
+	}
+	return true
+}
+
+// testCuts appends to dst where to cut a "tests" array whose first record
+// starts at b[start] into up to pieces pieces of at least minPiece bytes
+// (none when fewer than two fit): from equal offsets into b[start:], the
+// first comma with '}' before it and '{' after it, JSON whitespace allowed
+// between. The cuts are only guesses: one that lands outside the array,
+// inside a record or in a malformed body makes tests decode serially.
+func testCuts(dst []int, b []byte, start, minPiece, pieces int) []int {
+	span := len(b) - start
+	k := min(pieces, span/max(minPiece, 1))
+	next := start + 1
+	for j := 1; j < k; j++ {
+		c := recordComma(b, max(next, start+j*(span/k)))
+		if c < 0 {
+			break
+		}
+		dst = append(dst, c)
+		next = c + 1
+	}
+	return dst
+}
+
+// recordComma returns the index of the first ',' at or after i that has a
+// '}' before it and a '{' after it, JSON whitespace between; -1 if none.
+func recordComma(b []byte, i int) int {
+	for {
+		j := bytes.IndexByte(b[i:], ',')
+		if j < 0 {
+			return -1
+		}
+		c := i + j
+		before, after := c-1, c+1
+		for before >= 0 && isJSONSpace(b[before]) {
+			before--
+		}
+		for after < len(b) && isJSONSpace(b[after]) {
+			after++
+		}
+		if before >= 0 && b[before] == '}' && after < len(b) && b[after] == '{' {
+			return c
+		}
+		i = c + 1
+	}
+}
+
+// testPiece decodes the piece b[from:] as object (, object)* into piece j's
+// buffers; b ends at the piece's cut.
+func (ib *IngestBody) testPiece(j int, b []byte, from int) {
+	defer ib.wg.Done()
+	pc := &ib.pieces[j]
+	out := &pc.out
+	out.Tests, out.TestSpans, out.floats = out.Tests[:0], out.TestSpans[:0], out.floats[:0]
+	p := fastParser{b: b, i: from}
+	p.ws()
+	for {
+		if !out.test(&p) {
+			pc.ok = false
+			return
+		}
+		if !p.more() {
+			pc.ok = p.i == len(p.b)
+			return
+		}
+	}
+}
+
+// testRecords decodes records at the cursor, object (, object)*, through
+// the ']' that ends their array.
+func (ib *IngestBody) testRecords(p *fastParser) bool {
+	for {
+		if !ib.test(p) {
+			return false
+		}
+		if !p.more() {
+			return p.eat(']')
+		}
+	}
+}
 
 // test parses one test record object and appends it and its span.
 func (ib *IngestBody) test(p *fastParser) bool {
@@ -730,8 +920,8 @@ func (p *fastParser) key(keys []string) int {
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest round-trip form, 'f' format unless the magnitude forces
 // exponent notation, with the two-digit negative exponent's leading zero
-// trimmed. Byte-for-byte parity lets prerendered fragments splice into
-// responses the legacy encoder's clients already parse.
+// trimmed. Byte-for-byte parity keeps the hand-rendered responses equal to
+// what the legacy encoder wrote, which its clients already parse.
 func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
 	fmtc := byte('f')
@@ -748,7 +938,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// writeRawJSON sends a prerendered JSON body with the same headers
+// writeRawJSON sends a hand-rendered JSON body with the same headers
 // writeJSON sets.
 func writeRawJSON(w http.ResponseWriter, buf []byte) {
 	w.Header().Set("Content-Type", "application/json")

@@ -55,31 +55,35 @@ const perfbenchRecord = `{"tests":[{"line":20117,"week":44,"f":[7.245,1.5e-05,0,
 // decode to the same records, on the fast grammar again. Decoding into an
 // IngestBody that already holds another body, as a pooled request scratch
 // does, must not change any of it, and the read-error replay must answer
-// what an uncut replay answers.
+// what an uncut replay answers. The piece decode, cut by the cut search
+// with the fuzzed minimum piece size into up to eight pieces, must decode
+// exactly what the serial parse does.
 func FuzzIngestDecode(f *testing.F) {
-	for _, s := range ingestSeeds {
-		f.Add([]byte(s))
-	}
-	f.Add([]byte(perfbenchRecord))
+	var seeds []string
+	seeds = append(seeds, ingestSeeds...)
+	seeds = append(seeds, pieceBodies...)
+	seeds = append(seeds, perfbenchRecord)
 	for _, tok := range float32Seeds {
-		f.Add([]byte(`{"tests":[{"line":1,"week":40,"f":[` + tok + `]}]}`))
-		f.Add([]byte(`{"tests":[{"line":1,"week":40,"usage":` + tok + `}]}`))
+		seeds = append(seeds, `{"tests":[{"line":1,"week":40,"f":[`+tok+`]}]}`,
+			`{"tests":[{"line":1,"week":40,"usage":`+tok+`}]}`)
 	}
-	f.Add([]byte(`{"tests":[{"line":2147483648,"week":40}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"profile":256}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"profile":-0}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"f":null}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"week":41}]}`))
-	f.Add([]byte(`{"tests":[{"Line":1,"week":40}]}`))
-	f.Add([]byte(`{"tests":[{"Line":1,"line":2,"week":40}]}`))
-	f.Add([]byte(`{"tests":[{"line":1,"week":40,"f":[]}],"tickets":[]}`))
-	f.Add([]byte(" {\"tickets\" : [ {} , {\"id\":-0} ] ,\n\"tests\":[{}]}\t"))
+	seeds = append(seeds,
+		`{"tests":[{"line":2147483648,"week":40}]}`,
+		`{"tests":[{"line":1,"week":40,"profile":256}]}`,
+		`{"tests":[{"line":1,"week":40,"profile":-0}]}`,
+		`{"tests":[{"line":1,"week":40,"f":null}]}`,
+		`{"tests":[{"line":1,"week":40,"week":41}]}`,
+		`{"tests":[{"Line":1,"week":40}]}`,
+		`{"tests":[{"Line":1,"line":2,"week":40}]}`,
+		`{"tests":[{"line":1,"week":40,"f":[]}],"tickets":[]}`,
+		" {\"tickets\" : [ {} , {\"id\":-0} ] ,\n\"tests\":[{}]}\t")
 	// Bodies cut off by a failed read, ending in whitespace runs.
-	for _, s := range []string{`{"tests":[]}   `, `{"tests":[   `, `{"tests":[1   `, "12  ", "tru  ", "\"ab  \n\n", "-  "} {
-		f.Add([]byte(s))
+	seeds = append(seeds, `{"tests":[]}   `, `{"tests":[   `, `{"tests":[1   `, "12  ", "tru  ", "\"ab  \n\n", "-  ")
+	for i, s := range seeds {
+		f.Add([]byte(s), uint16(1+i%23))
 	}
 
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte, piece uint16) {
 		// Were body all a read got before failing, IngestReadError (which
 		// cuts trailing whitespace runs) answers what replaying all of it
 		// answers.
@@ -89,6 +93,8 @@ func FuzzIngestDecode(f *testing.F) {
 		if got := IngestReadError(body, readErr); errText(got) != errText(replayed) {
 			t.Fatalf("IngestReadError %q, replay %q", errText(got), errText(replayed))
 		}
+
+		cutParseMatchesSerial(t, body, int(piece))
 
 		var want IngestRequest
 		wantErr := DecodeStrict(bytes.NewReader(body), &want)
@@ -103,10 +109,10 @@ func FuzzIngestDecode(f *testing.F) {
 
 		// A reused IngestBody must decode the same values.
 		reused := new(IngestBody)
-		if err := reused.parse([]byte(perfbenchRecord)); err != nil {
+		if err := reused.Parse([]byte(perfbenchRecord)); err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.parse(body); err != nil {
+		if err := reused.Parse(body); err != nil {
 			t.Fatalf("reused IngestBody rejected what a fresh one accepted: %v", err)
 		}
 		sameIngest(t, "reused IngestBody", &reused.IngestRequest, &want)
@@ -140,6 +146,19 @@ func FuzzIngestDecode(f *testing.F) {
 			t.Fatalf("spans joined to %q leave the fast grammar (%v)", joined, err)
 		}
 	})
+}
+
+// cutParseMatchesSerial fails t unless the piece decode, with the cut
+// search's minimum piece size at piece, decodes body exactly as the serial
+// parse does: the same verdict, error text, records and spans.
+func cutParseMatchesSerial(t *testing.T, body []byte, piece int) {
+	t.Helper()
+	serial, cut := new(IngestBody), new(IngestBody)
+	wantErr := serial.decode(body, noCuts)
+	err := cut.decode(body, func(dst []int, b []byte, start int) []int {
+		return testCuts(dst, b, start, piece, 8)
+	})
+	sameDecode(t, fmt.Sprintf("pieces of %d", piece), cut, err, serial, wantErr)
 }
 
 // appendSpans appends the records at spans in body as one JSON array.

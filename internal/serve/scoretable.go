@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,11 +14,11 @@ import (
 )
 
 // weekTable is the resident scoring column for one (model generation, week):
-// every line's compiled-model score and calibrated probability, plus the
-// prerendered JSON fragment the fast response writers splice. It is built
+// every line's compiled-model score and calibrated probability. It is built
 // once per (snapshot, models, week) by whichever request arrives first and
-// then serves /v1/score, /v1/rank and the pipeline's weekly ranking as pure
-// table lookups — zero feature encoding, zero float formatting per request.
+// then serves /v1/score, /v1/rank and the pipeline's weekly ranking as table
+// lookups — zero feature encoding per request. A response renders only the
+// lines it sends (appendFrag), so a build or a patch formats no floats.
 //
 // Scores come from the predictor's encode plan (ScoreExamplesFallback over
 // single-week examples, with the snapshot's cached week fallback, which is
@@ -39,10 +41,6 @@ type weekTable struct {
 	// [0, NumLines), present or not, so any valid score request hits it.
 	scores []float64
 	probs  []float64
-	// frags holds every line's rendered prediction object back to back;
-	// line l's fragment is frags[fragOff[l]:fragOff[l+1]].
-	frags   []byte
-	fragOff []int32
 
 	// from and dirty are set on a patched table until its first read fills
 	// it: the base snapshot's table and the ascending lines to rescore.
@@ -118,21 +116,14 @@ func (t *weekTable) build(sn *Snapshot, models *Models) {
 	for l, s := range scores {
 		t.probs[l] = models.Pred.Model.Probability(s)
 	}
-	t.fragOff = make([]int32, n+1)
-	buf := make([]byte, 0, n*64)
-	for l := 0; l < n; l++ {
-		buf = t.appendFrag(buf, data.LineID(l))
-		t.fragOff[l+1] = int32(len(buf))
-	}
-	t.frags = buf
 }
 
-// patch fills a carried table from its base: copies of the base's columns
-// with the dirty lines rescored through the same batch call build makes and
-// their fragments re-rendered. A line's score depends only on its own cells,
-// attributes and tickets plus the week's imputation fallback, and
-// carryTables patches only when the fallback held, so every clean line's
-// score, probability and fragment bytes are the base's unchanged.
+// patch fills a carried table from its base: copies of the base's two
+// columns with the dirty lines rescored through the same batch call build
+// makes. A line's score depends only on its own cells, attributes and
+// tickets plus the week's imputation fallback, and carryTables patches only
+// when the fallback held, so every clean line's score and probability are
+// the base's unchanged.
 func (t *weekTable) patch(sn *Snapshot, models *Models) {
 	src := t.from
 	examples := make([]features.Example, len(t.dirty))
@@ -150,29 +141,10 @@ func (t *weekTable) patch(sn *Snapshot, models *Models) {
 		t.scores[l] = scores[i]
 		t.probs[l] = models.Pred.Model.Probability(scores[i])
 	}
-	n := len(t.scores)
-	t.fragOff = make([]int32, n+1)
-	buf := make([]byte, 0, len(src.frags)+len(t.dirty)*8)
-	// copyRun splices the base's fragments for the clean lines [a, b).
-	copyRun := func(a, b int) {
-		shift := int32(len(buf)) - src.fragOff[a]
-		buf = append(buf, src.frags[src.fragOff[a]:src.fragOff[b]]...)
-		for l := a; l < b; l++ {
-			t.fragOff[l+1] = src.fragOff[l+1] + shift
-		}
-	}
-	next := 0
-	for _, l := range t.dirty {
-		copyRun(next, int(l))
-		buf = t.appendFrag(buf, l)
-		t.fragOff[l+1] = int32(len(buf))
-		next = int(l) + 1
-	}
-	copyRun(next, n)
-	t.frags = buf
 }
 
-// appendFrag renders line l's prediction object from the table's columns.
+// appendFrag renders line l's prediction object from the table's columns,
+// into the response that sends it.
 func (t *weekTable) appendFrag(buf []byte, l data.LineID) []byte {
 	buf = append(buf, `{"line":`...)
 	buf = strconv.AppendInt(buf, int64(l), 10)
@@ -185,29 +157,44 @@ func (t *weekTable) appendFrag(buf []byte, l data.LineID) []byte {
 	return append(buf, '}')
 }
 
-// frag returns line l's prerendered prediction object.
-func (t *weekTable) frag(l data.LineID) []byte {
-	return t.frags[t.fragOff[l]:t.fragOff[l+1]]
-}
-
 // rankedLines returns the week's present population best-first: score
 // descending, ties by ascending line id — the order /v1/rank has always
 // served. Built once per table; callers must not modify the slice.
 func (t *weekTable) rankedLines(sn *Snapshot) []data.LineID {
-	t.rankOnce.Do(func() {
-		lines := sn.LinesAt(t.week)
-		r := append([]data.LineID(nil), lines...)
-		// (score desc, line asc) is a strict total order — line ids are
-		// unique — so the unstable sort is deterministic.
-		sort.Slice(r, func(a, b int) bool {
-			if t.scores[r[a]] != t.scores[r[b]] {
-				return t.scores[r[a]] > t.scores[r[b]]
-			}
-			return r[a] < r[b]
-		})
-		t.ranked = r
-	})
+	t.rankOnce.Do(func() { t.ranked = rankByScore(t.scores, sn.LinesAt(t.week)) })
 	return t.ranked
+}
+
+// rankKey packs one line's sort key next to it, so the sort compares
+// contiguous keys instead of chasing scores[line].
+type rankKey struct {
+	score float64
+	line  data.LineID
+}
+
+// rankByScore returns lines sorted by scores[line] descending, ties by
+// ascending line id. Scores are finite, so (score desc, line asc) is a
+// strict total order — line ids are unique, and +0 and -0 compare equal and
+// tie by line — and the unstable sort is deterministic.
+func rankByScore(scores []float64, lines []data.LineID) []data.LineID {
+	keys := make([]rankKey, len(lines))
+	for i, l := range lines {
+		keys[i] = rankKey{scores[l], l}
+	}
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		}
+		return cmp.Compare(a.line, b.line)
+	})
+	r := make([]data.LineID, len(keys))
+	for i, k := range keys {
+		r[i] = k.line
+	}
+	return r
 }
 
 // tableDelta is what one publish changed against its base, in the terms a
@@ -225,7 +212,7 @@ type tableDelta struct {
 //
 //   - share (same pointer, ranked order included) when d touched no cell at a
 //     week ≤ w, added no ticket on or before w's Saturday and changed no
-//     line's attributes: every score, fragment and the ranked order stand;
+//     line's attributes: every score, probability and the ranked order stand;
 //   - drop when d touched a week-w cell and the week's imputation fallback
 //     moved by even one bit: every line imputing from it changed, so the
 //     first read rebuilds the table from scratch;

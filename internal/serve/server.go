@@ -400,7 +400,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// A pool works when its entries cost about the same. A bulk load's
 		// buffers would stay pinned in every scratch that later serves a
 		// read, so they go back to the pool only for a feed-sized body.
-		if cap(sc.body) > maxPooledIngest {
+		if cap(sc.body) > MaxPooledIngest {
 			sc.body, sc.ingest = nil, IngestBody{}
 		}
 		scratchPool.Put(sc)
@@ -409,7 +409,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		err = IngestReadError(body, err)
 	} else {
-		err = sc.ingest.parse(body)
+		err = sc.ingest.Parse(body)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -429,10 +429,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxPooledIngest is the largest ingest body whose buffers go back to the
-// scratch pool: about 4,000 records of 25 features, twice the 2048-record
-// batches a weekly feed sends.
-const maxPooledIngest = 1 << 20
+// MaxPooledIngest is the largest ingest body whose buffers go back to a
+// pool, here and in the fleet gateway: about 4,000 records of 25 features,
+// twice the 2048-record batches a weekly feed sends.
+const MaxPooledIngest = 1 << 20
 
 // ingest applies one /v1/ingest body: the tests, then the tickets. The whole
 // body is validated before either is applied, so a rejected body changes
@@ -498,7 +498,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	if singleWeek {
 		// Steady-state path: every answer is a lookup in the week's resident
-		// score table and a splice of its prerendered fragments.
+		// score table, rendered straight into the pooled response buffer.
 		tab, err := sn.scoreTable(s.Models(), exs[0].Week)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
@@ -509,7 +509,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = append(buf, tab.frag(e.Line)...)
+			buf = tab.appendFrag(buf, e.Line)
 		}
 		buf = append(buf, `],"version":`...)
 		buf = strconv.AppendUint(buf, sn.Version, 10)
@@ -573,7 +573,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = append(buf, tab.frag(l)...)
+			buf = tab.appendFrag(buf, l)
 		}
 	} else {
 		buf = append(buf, `{"n":0,"population":0,"predictions":[`...)

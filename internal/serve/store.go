@@ -12,7 +12,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,9 +60,13 @@ type TicketRecord struct {
 // bitmasks. Bit w of seen is set once a week-w record has arrived (at most
 // one record per week; re-ingesting a week overwrites its cell, so replayed
 // feeds converge). Bit w of dirty is set while the week-w cell holds a write
-// no published snapshot has seen.
+// no published snapshot has seen. listed is set once a published snapshot's
+// Lines holds the line, so a publish tells a new line from a listed one
+// without searching Lines. Newness cannot be read off the bitmasks:
+// re-ingesting a listed line's only week leaves seen == dirty.
 type lineState struct {
 	profile     uint8
+	listed      bool
 	dslam       int32
 	usage       float32
 	seen, dirty uint64
@@ -653,14 +656,16 @@ func (s *Store) ResetSnapshotCache() {
 	s.buildMu.Unlock()
 }
 
-// lineWrite is one line as a publish reads it: its attributes and the weeks
-// (bit w for week w) written since the previous publish.
+// lineWrite is one line as a publish reads it: its attributes, the weeks
+// (bit w for week w) written since the previous publish, and whether the
+// base's Lines lacks it.
 type lineWrite struct {
-	line    data.LineID
-	weeks   uint64
-	profile uint8
-	dslam   int32
-	usage   float32
+	line     data.LineID
+	weeks    uint64
+	profile  uint8
+	unlisted bool
+	dslam    int32
+	usage    float32
 }
 
 // publish builds the snapshot at version; every snapshot is built here. It
@@ -698,7 +703,15 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 	clear(s.owned)
 	n := grid.NumLines
 	grew := n > nb
-	var writes []lineWrite
+	nw := 0
+	for i := range s.shards {
+		if base == nil {
+			nw += len(s.shards[i].lines)
+		} else {
+			nw += len(s.shards[i].dirty)
+		}
+	}
+	writes := make([]lineWrite, 0, nw)
 	var added []data.Ticket
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -714,8 +727,11 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 		}
 		for _, l := range sh.dirty {
 			ls := sh.lines[l]
-			writes = append(writes, lineWrite{line: l, weeks: ls.dirty, profile: ls.profile, dslam: ls.dslam, usage: ls.usage})
-			ls.dirty = 0
+			writes = append(writes, lineWrite{
+				line: l, weeks: ls.dirty, profile: ls.profile, dslam: ls.dslam, usage: ls.usage,
+				unlisted: base == nil || !ls.listed, // a base-less publish lists every line
+			})
+			ls.dirty, ls.listed = 0, true
 		}
 		sh.dirty = sh.dirty[:0]
 		// A ticket shows once the grid has its line's row. New tickets
@@ -795,7 +811,7 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 			ds.ProfileOf[l], ds.DSLAMOf[l], ds.UsageOf[l] = c.profile, c.dslam, c.usage
 			changed.attrs = append(changed.attrs, l)
 		}
-		if !containsLine(sn.Lines, l) {
+		if c.unlisted {
 			newLines = append(newLines, l)
 		}
 	}
@@ -824,8 +840,12 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 		ds.NumDSLAMs = int(slices.Max(ds.DSLAMOf)) + 1
 	}
 	if len(added) > 0 {
-		ds.Tickets = append(slices.Clip(ds.Tickets), added...)
-		sortTickets(ds.Tickets)
+		// The base's tickets are sorted and the added ones are not among
+		// them (each shard drops exact duplicates, and a ticket left out
+		// while its line lay past the grid is added once, when the grid
+		// grows past it), so merging equals sorting the union.
+		sortTickets(added)
+		ds.Tickets = mergeTickets(ds.Tickets, added)
 	}
 	if len(added) > 0 || grew {
 		sn.Ix = data.NewTicketIndex(ds) // indexed by line: grows with the grid
@@ -854,13 +874,30 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 	return sn, nil
 }
 
-// containsLine reports whether the ascending slice holds l.
-func containsLine(sorted []data.LineID, l data.LineID) bool {
-	_, ok := slices.BinarySearch(sorted, l)
-	return ok
-}
-
 // sortTickets puts ts in the canonical ticket order, data.TicketLess.
 func sortTickets(ts []data.Ticket) {
-	sort.Slice(ts, func(a, b int) bool { return data.TicketLess(ts[a], ts[b]) })
+	slices.SortFunc(ts, func(a, b data.Ticket) int {
+		switch {
+		case data.TicketLess(a, b):
+			return -1
+		case data.TicketLess(b, a):
+			return 1
+		}
+		return 0
+	})
+}
+
+// mergeTickets returns, in a new slice, the TicketLess-sorted lists a and b
+// merged into one sorted list.
+func mergeTickets(a, b []data.Ticket) []data.Ticket {
+	out := make([]data.Ticket, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if data.TicketLess(b[0], a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
