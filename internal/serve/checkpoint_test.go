@@ -182,6 +182,42 @@ func TestCheckpointFormat1Fixture(t *testing.T) {
 	assertSameContent(t, fed.Snapshot(), s.Snapshot())
 }
 
+// format2Fixture is the format-2 checkpoint a store fed format1Steps writes
+// at version 6. It is committed so that the bytes are compared across
+// commits, not only within one binary.
+var format2Fixture = filepath.Join("testdata", "format2", "ckpt-00000000000000000006.ckpt")
+
+// TestCheckpointFormat2Fixture pins the format-2 bytes: a store fed
+// format1Steps writes exactly the committed file, restoring the file gives
+// the directly fed store's content, and the restored store rewrites the
+// same bytes. -update rewrites the file; a change that needs it changes the
+// checkpoint format.
+func TestCheckpointFormat2Fixture(t *testing.T) {
+	fed := NewStore(4)
+	feedSteps(t, fed, format1Steps())
+	b := writeCkptBytes(t, fed)
+	if *updateGolden {
+		if err := os.WriteFile(format2Fixture, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(format2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("a store fed format1Steps writes %d bytes that differ from the %d-byte fixture", len(b), len(want))
+	}
+	got := NewStore(8)
+	if v, err := got.LoadCheckpoint(format2Fixture); err != nil || v != 6 {
+		t.Fatalf("format-2 fixture: version %d, %v", v, err)
+	}
+	assertSameContent(t, fed.Snapshot(), got.Snapshot())
+	if !bytes.Equal(writeCkptBytes(t, got), want) {
+		t.Fatal("the restored fixture rewrites different bytes")
+	}
+}
+
 // TestCheckpointFormat1CorruptRejected damages the format-1 fixture: a
 // flipped byte or a cut tail must not load, must leave the store empty, and
 // the same store must then load the intact file.
