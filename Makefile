@@ -170,10 +170,11 @@ fuzz:
 # and the rank query parser — plus the checkpoint loader, the WAL segment
 # decoder, the replication stream decoder (arbitrary bytes must decode
 # consistently and never panic or corrupt a store), the drift loop's two
-# parsers: /v1/drift query params and the -drift.thresholds spec, and the
+# parsers: /v1/drift query params and the -drift.thresholds spec, the
 # interval scorer against the binned path (the same score bits for any
-# float32 values). Seed corpora for all eleven also run (instantly) in plain
-# `make test`.
+# float32 values), and the chunked measurement grid's grow, copy-on-write
+# writes and frozen copies against a dense model. Seed corpora for all
+# twelve also run (instantly) in plain `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestJSON -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/serve/ -fuzz FuzzIngestDecode -fuzztime 30s -run '^$$'
@@ -186,6 +187,7 @@ fuzz-smoke:
 	$(GO) test ./internal/drift/ -fuzz FuzzDriftParams -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/drift/ -fuzz FuzzThresholds -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/ml/ -fuzz FuzzThresholdScore -fuzztime 20s -run '^$$'
+	$(GO) test ./internal/data/ -fuzz FuzzGridCOW -fuzztime 20s -run '^$$'
 
 clean:
 	rm -f test_output.txt bench_output.txt dsl-year.gob.gz

@@ -16,7 +16,7 @@ import (
 
 // ReadMeasurementsCSV parses a measurement export. Rows may arrive in any
 // order; the result is the grid Dataset expects, as wide as the largest line
-// id plus one. Rows absent from the file stay Missing.
+// id plus one. Cells absent from the file hold the no-record default.
 func ReadMeasurementsCSV(r io.Reader) (*MeasurementGrid, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -82,7 +82,7 @@ func ReadMeasurementsCSV(r io.Reader) (*MeasurementGrid, error) {
 	}
 	grid := NewMeasurementGrid(maxLine + 1)
 	for _, m := range rows {
-		*grid.At(m.Line, m.Week) = m
+		grid.SetCOW(nil, m.Line, m.Week, m)
 	}
 	return grid, nil
 }

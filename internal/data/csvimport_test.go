@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,12 @@ import (
 func TestMeasurementsCSVRoundTrip(t *testing.T) {
 	d := tinyDataset()
 	// Give a couple of records distinguishing values and a missing flag.
-	d.At(1, 5).F[FDnNMR] = 7.25
-	d.At(2, 10).Missing = true
+	m := *d.At(1, 5)
+	m.F[FDnNMR] = 7.25
+	d.Grid.SetCOW(nil, 1, 5, m)
+	m = *d.At(2, 10)
+	m.Missing = true
+	d.Grid.SetCOW(nil, 2, 10, m)
 
 	var buf bytes.Buffer
 	if err := d.WriteMeasurementsCSV(&buf); err != nil {
@@ -132,4 +137,36 @@ func TestReadTicketsCSVErrors(t *testing.T) {
 func measurementRow(id string) string {
 	return "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n" +
 		id + ",0,false" + strings.Repeat(",0", NumBasicFeatures) + "\n"
+}
+
+// A grid with cells no record wrote exports every cell as a dense row at its
+// own line and week: an unwritten cell is a Missing row of zeros, as it was
+// when the grid stamped every cell.
+func TestMeasurementsCSVExportsUnwrittenCells(t *testing.T) {
+	header := "line,week,missing," + strings.Join(BasicFeatureNames[:], ",") + "\n"
+	grid, err := ReadMeasurementsCSV(strings.NewReader(header + "1,5,false" + strings.Repeat(",2.5", NumBasicFeatures) + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Dataset{NumLines: grid.NumLines, Grid: grid}
+	var buf bytes.Buffer
+	if err := d.WriteMeasurementsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(rows) != 1+Weeks*2 {
+		t.Fatalf("export has %d rows, want %d", len(rows), 1+Weeks*2)
+	}
+	for w, i := 0, 1; w < Weeks; w++ {
+		for l := 0; l < 2; l++ {
+			want := fmt.Sprintf("%d,%d,%s,true%s", l, w, DateString(SaturdayOf(w)), strings.Repeat(",0", NumBasicFeatures))
+			if l == 1 && w == 5 {
+				want = fmt.Sprintf("1,5,%s,false%s", DateString(SaturdayOf(5)), strings.Repeat(",2.5", NumBasicFeatures))
+			}
+			if rows[i] != want {
+				t.Fatalf("row %d = %q, want %q", i, rows[i], want)
+			}
+			i++
+		}
+	}
 }

@@ -12,9 +12,9 @@ import (
 // stream, the dispatch disposition notes, subscriber profiles, and the DSLAM
 // outage log used by the §5.2 analyses.
 //
-// Grid holds the weekly line tests: exactly one record per (week, line),
-// with Missing set when the modem was off, addressable in constant time
-// through At.
+// Grid holds the weekly line tests: exactly one cell per (week, line),
+// with Missing set when the modem was off or no record arrived,
+// addressable in constant time through At.
 type Dataset struct {
 	NumLines  int
 	ProfileOf []uint8 // service tier per line, index into Profiles
@@ -42,8 +42,9 @@ type AwaySpan struct {
 	EndDay   int // inclusive
 }
 
-// At returns the measurement for (line, week). It panics on out-of-range
-// arguments; use it only on complete grids (Validate checks this).
+// At returns the measurement for (line, week), read-only (see
+// MeasurementGrid.At). It panics on out-of-range arguments; use it only on
+// complete grids (Validate checks this).
 func (d *Dataset) At(line LineID, week int) *Measurement {
 	return d.Grid.At(line, week)
 }

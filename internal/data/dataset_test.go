@@ -25,7 +25,7 @@ func tinyDataset() *Dataset {
 		for l := 0; l < 3; l++ {
 			m := Measurement{Line: LineID(l), Week: w}
 			m.F[FDnBR] = float32(700 + 10*l)
-			*d.At(LineID(l), w) = m
+			d.Grid.SetCOW(nil, LineID(l), w, m)
 		}
 	}
 	d.Tickets = []Ticket{

@@ -7,16 +7,18 @@ func errGrid(format string, args ...any) error {
 }
 
 // MeasurementGrid is the one measurement layout: the dense week-major
-// (week, line) grid of a Dataset, exactly one record per cell, stored as
-// fixed-size chunks of lines so a consumer that changes a handful of cells
-// can share every untouched chunk with its predecessor and copy only the
-// chunks it writes. The serving store keeps a live grid as its store of
-// record and freezes it into each snapshot with ShareCopy: a weekly ingest
-// touches a few hundred lines, and recopying a multi-hundred-MB grid per
-// snapshot would make every ingest O(population).
+// (week, line) grid of a Dataset, exactly one cell per (week, line), stored
+// as fixed-size chunks of lines so a consumer that changes a handful of
+// cells can share every untouched chunk with its predecessor and copy only
+// the chunks it writes. Every (week, chunk) slot no record has written
+// points at one shared, never-written chunk of no-record cells, so a grid
+// allocates only the chunks its records wrote. The serving store keeps a
+// live grid as its store of record and freezes it into each snapshot with
+// ShareCopy: a weekly ingest touches a few hundred lines, and recopying a
+// multi-hundred-MB grid per snapshot would make every ingest O(population).
 //
 // All fields are exported so a Dataset stays gob-encodable; treat them as
-// read-only outside this file and the copy-on-write helpers.
+// read-only outside this file and write cells only through SetCOW.
 type MeasurementGrid struct {
 	NumLines int
 	// ChunksPerWeek = ceil(NumLines / GridChunkLines); week w's chunk c sits
@@ -26,24 +28,46 @@ type MeasurementGrid struct {
 	Chunks        [][]Measurement
 }
 
-// GridChunkLines is the copy-on-write granularity in lines per chunk. 1024
-// lines x 120 B = ~120 KB per chunk: small enough that a delta touching one
-// line copies little, large enough that a full grid is a few hundred chunk
-// headers, not millions.
+// GridChunkLines is the copy-on-write and allocation granularity in lines
+// per chunk. 1024 lines x 120 B = ~120 KB per chunk: small enough that a
+// delta touching one line copies little and that a week no record reached
+// costs only its slot headers, large enough that a full grid is a few
+// hundred chunk headers, not millions.
 const GridChunkLines = 1024
 
-// NewMeasurementGrid allocates a dense grid for numLines lines with every
-// cell initialised to the Missing default ("no record at all"), with Line
-// and Week stamped so Validate's identity check holds.
+// noRecord is the cell no record has written: Missing, and naming no line
+// and no week.
+var noRecord = Measurement{Line: -1, Week: -1, Missing: true}
+
+// noRecordChunk is the chunk every unwritten (week, chunk) slot of every
+// grid points at (a short last chunk at a prefix of it). Nothing writes it:
+// SetCOW copies it on a slot's first write, and Validate checks it.
+var noRecordChunk = func() []Measurement {
+	c := make([]Measurement, GridChunkLines)
+	for i := range c {
+		c[i] = noRecord
+	}
+	return c
+}()
+
+// unwritten reports whether chunk is a slot on the shared no-record chunk.
+func unwritten(chunk []Measurement) bool {
+	return len(chunk) > 0 && &chunk[0] == &noRecordChunk[0]
+}
+
+// NewMeasurementGrid returns a grid for numLines lines whose every cell is
+// the no-record default: all its slots point at the shared no-record chunk,
+// so it allocates only its chunk table until SetCOW writes a cell.
 func NewMeasurementGrid(numLines int) *MeasurementGrid {
 	g := new(MeasurementGrid)
 	g.Grow(numLines, nil)
 	return g
 }
 
-// At returns the measurement cell for (line, week). It panics on
-// out-of-range arguments. Callers other than the grid's owner must treat the
-// cell as read-only: chunks may be shared between grids.
+// At returns the measurement cell for (line, week), which is read-only:
+// chunks may be shared between grids, and a cell no record has written is
+// the shared no-record chunk's, {Line: -1, Week: -1, Missing: true}. Write
+// through SetCOW. It panics on out-of-range arguments.
 func (g *MeasurementGrid) At(line LineID, week int) *Measurement {
 	return &g.Chunks[week*g.ChunksPerWeek+int(uint32(line)/GridChunkLines)][uint32(line)%GridChunkLines]
 }
@@ -59,24 +83,39 @@ func (g *MeasurementGrid) ShareCopy() *MeasurementGrid {
 	}
 }
 
-// SetCOW writes m into cell (line, week), copying the containing chunk first
-// unless owned already marks it private to this grid. owned must be a
-// caller-held bitmap of len(g.Chunks), all false for a fresh ShareCopy.
-func (g *MeasurementGrid) SetCOW(owned []bool, line LineID, week int, m Measurement) {
+// SetCOW writes m into cell (line, week), the only way to write a cell. It
+// copies the containing chunk first unless owned marks it private to this
+// grid, and returns the number of cells the write took off the shared
+// no-record chunk: the slot's length on its first write, else 0. owned is
+// a caller-held bitmap of len(g.Chunks), all false for a fresh ShareCopy,
+// in which a slot on the shared chunk is never set; nil means g shares no
+// chunk with another grid, so only a slot on the shared chunk is copied.
+func (g *MeasurementGrid) SetCOW(owned []bool, line LineID, week int, m Measurement) int {
 	ci := week*g.ChunksPerWeek + int(line)/GridChunkLines
-	if !owned[ci] {
-		g.Chunks[ci] = append([]Measurement(nil), g.Chunks[ci]...)
-		owned[ci] = true
+	chunk := g.Chunks[ci]
+	fresh := 0
+	if unwritten(chunk) {
+		fresh = len(chunk)
 	}
-	g.Chunks[ci][int(line)%GridChunkLines] = m
+	if owned == nil && fresh > 0 || owned != nil && !owned[ci] {
+		chunk = append([]Measurement(nil), chunk...)
+		g.Chunks[ci] = chunk
+		if owned != nil {
+			owned[ci] = true
+		}
+	}
+	chunk[int(line)%GridChunkLines] = m
+	return fresh
 }
 
 // Grow widens g in place to numLines lines (a smaller count is a no-op) and
-// returns SetCOW's owned bitmap (nil for an empty grid) laid out for the new
-// chunk table. Each week's short last chunk is extended, copied first unless
-// owned, and new chunks hold the Missing default; both end up owned. A chunk
-// that has to move to grow moves to a whole chunk's capacity, so widening a
-// line at a time copies each chunk at most once more.
+// returns SetCOW's owned bitmap laid out for the new chunk table; owned may
+// be nil only while g is empty. New slots point at the shared no-record
+// chunk and stay unowned until written. A week's written short last chunk
+// is extended by no-record cells, copied first unless owned, and then
+// owned; a chunk that has to move to grow moves to a whole chunk's
+// capacity, so widening a line at a time copies each chunk at most once
+// more.
 func (g *MeasurementGrid) Grow(numLines int, owned []bool) []bool {
 	if numLines <= g.NumLines {
 		return owned
@@ -94,24 +133,21 @@ func (g *MeasurementGrid) Grow(numLines int, owned []bool) []bool {
 	for w := 0; w < Weeks; w++ {
 		for c := g.NumLines / GridChunkLines; c < cpw; c++ {
 			i := w*cpw + c
-			lo := c * GridChunkLines
-			n := min(GridChunkLines, numLines-lo)
+			n := min(GridChunkLines, numLines-c*GridChunkLines)
 			chunk := g.Chunks[i]
+			if chunk == nil || unwritten(chunk) {
+				// Capped at n, so an append can never reach the shared cells.
+				g.Chunks[i] = noRecordChunk[:n:n]
+				continue
+			}
 			if !owned[i] || cap(chunk) < n {
-				room := n
-				if len(chunk) > 0 {
-					room = GridChunkLines
-				}
-				chunk = append(make([]Measurement, 0, room), chunk...)
+				chunk = append(make([]Measurement, 0, GridChunkLines), chunk...)
 				owned[i] = true
 			}
-			// Cells past a chunk's length are zero (make and append zero
-			// spare capacity), so stamping the defaults sets three fields.
 			old := len(chunk)
 			chunk = chunk[:n]
 			for j := old; j < n; j++ {
-				c := &chunk[j]
-				c.Line, c.Week, c.Missing = LineID(lo+j), w, true
+				chunk[j] = noRecord
 			}
 			g.Chunks[i] = chunk
 		}
@@ -120,8 +156,24 @@ func (g *MeasurementGrid) Grow(numLines int, owned []bool) []bool {
 	return owned
 }
 
-// Validate checks the grid's structural invariants against numLines; called
-// from Dataset.Validate and from tests asserting snapshots are never torn.
+// HeldCells returns the number of cells g's written slots hold, the ones
+// that do not point at the shared no-record chunk.
+func (g *MeasurementGrid) HeldCells() int {
+	n := 0
+	for _, chunk := range g.Chunks {
+		if !unwritten(chunk) {
+			n += len(chunk)
+		}
+	}
+	return n
+}
+
+// Validate checks the grid's structural invariants against numLines: the
+// chunk table's shape, each slot either on the shared no-record chunk or
+// holding cells that are the no-record default or stamped with their own
+// (line, week), and the shared chunk still all default, so a write through
+// At fails here. Called from Dataset.Validate and from tests asserting
+// snapshots are never torn.
 func (g *MeasurementGrid) Validate(numLines int) error {
 	if g == nil {
 		return errGrid("dataset has no measurement grid")
@@ -136,6 +188,11 @@ func (g *MeasurementGrid) Validate(numLines int) error {
 	if len(g.Chunks) != Weeks*cpw {
 		return errGrid("grid has %d chunks, want %d", len(g.Chunks), Weeks*cpw)
 	}
+	for i := range noRecordChunk {
+		if noRecordChunk[i] != noRecord {
+			return errGrid("the shared no-record chunk was written at offset %d", i)
+		}
+	}
 	for w := 0; w < Weeks; w++ {
 		for c := 0; c < cpw; c++ {
 			lo := c * GridChunkLines
@@ -144,11 +201,15 @@ func (g *MeasurementGrid) Validate(numLines int) error {
 			if len(chunk) != want {
 				return errGrid("grid chunk (%d,%d) holds %d cells, want %d", w, c, len(chunk), want)
 			}
+			if unwritten(chunk) {
+				continue
+			}
 			for i := range chunk {
-				if chunk[i].Week != w || chunk[i].Line != LineID(lo+i) {
-					return errGrid("grid record at (%d,%d) holds (%d,%d)",
-						w, lo+i, chunk[i].Week, chunk[i].Line)
+				m := &chunk[i]
+				if m.Week == w && m.Line == LineID(lo+i) || *m == noRecord {
+					continue
 				}
+				return errGrid("grid record at (%d,%d) holds (%d,%d)", w, lo+i, m.Week, m.Line)
 			}
 		}
 	}

@@ -52,8 +52,8 @@ func Load(path string) (*Dataset, error) {
 }
 
 // WriteMeasurementsCSV exports the line-test grid with a header row, one row
-// per (week, line) record. Missing records keep their row (state=0) so the
-// export is a faithful dense grid.
+// per (week, line) cell. Missing records and cells no record wrote keep
+// their row (missing=true) so the export is a faithful dense grid.
 func (d *Dataset) WriteMeasurementsCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
@@ -62,11 +62,16 @@ func (d *Dataset) WriteMeasurementsCSV(w io.Writer) error {
 		return err
 	}
 	row := make([]string, len(header))
-	for _, chunk := range d.Grid.Chunks { // week-major, lines ascending
-		for _, m := range chunk {
-			row[0] = strconv.Itoa(int(m.Line))
-			row[1] = strconv.Itoa(m.Week)
-			row[2] = DateString(m.Day())
+	// A cell's line and week come from its position: a cell no record
+	// wrote names neither.
+	cpw := d.Grid.ChunksPerWeek
+	for ci, chunk := range d.Grid.Chunks { // week-major, lines ascending
+		week, lo := ci/cpw, ci%cpw*GridChunkLines
+		row[1] = strconv.Itoa(week)
+		row[2] = DateString(SaturdayOf(week))
+		for i := range chunk {
+			m := &chunk[i]
+			row[0] = strconv.Itoa(lo + i)
 			row[3] = strconv.FormatBool(m.Missing)
 			for f := 0; f < NumBasicFeatures; f++ {
 				row[4+f] = strconv.FormatFloat(float64(m.F[f]), 'g', 6, 64)

@@ -59,16 +59,15 @@ func CategoricalBasicFeature(f int) bool {
 
 // Measurement is the result of one weekly line test for one line. When the
 // modem was off during the test the record is Missing and the feature vector
-// holds only the static line attributes the DSLAM can still infer.
+// holds only the static line attributes the DSLAM can still infer. Line and
+// Week name the record that wrote a grid cell; a cell no record has written
+// reads Missing with Line and Week both -1.
 type Measurement struct {
-	Line    LineID
-	Week    int  // measurement week, 0..Weeks-1
-	Missing bool // modem off: no conversation, no record (paper §4.2 "modem feature")
+	Line    LineID // the record's line; -1 for no record
+	Week    int    // measurement week, 0..Weeks-1; -1 for no record
+	Missing bool   // modem off: no conversation, no record (paper §4.2 "modem feature")
 	F       [NumBasicFeatures]float32
 }
-
-// Day returns the calendar day of the measurement (its week's Saturday).
-func (m *Measurement) Day() int { return SaturdayOf(m.Week) }
 
 // TicketCategory is the coarse label a customer agent assigns to a ticket
 // (§3.3, information source 2). Only customer-edge tickets feed NEVERMIND.

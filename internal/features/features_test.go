@@ -445,7 +445,9 @@ func TestEncodeDeterministicProperty(t *testing.T) {
 func TestFallbackSumsWeeksInOrder(t *testing.T) {
 	ds := &data.Dataset{NumLines: 1, Grid: data.NewMeasurementGrid(1)}
 	for w, v := range map[int]float32{10: 1e17, 11: 1, 12: -1e17} {
-		ds.At(0, w).F[0] = v
+		m := data.Measurement{Line: 0, Week: w}
+		m.F[0] = v
+		ds.Grid.SetCOW(nil, 0, w, m)
 	}
 	for _, weeks := range [][]int{{10, 11, 12}, {12, 10, 11}, {11, 12, 10}} {
 		ex := make([]Example, len(weeks))

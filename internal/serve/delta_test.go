@@ -347,7 +347,7 @@ func (m *storeModel) apply(tests []TestRecord, tickets []TicketRecord) {
 }
 
 // assertSnapshotMatchesModel requires sn to hold exactly the model: every
-// cell (a cell no record reached is the Missing default), presence, line
+// cell (a cell no record reached is the no-record default), presence, line
 // lists, attributes, DSLAM count and the tickets whose line fits the grid.
 func assertSnapshotMatchesModel(t *testing.T, tag string, sn *Snapshot, m *storeModel) {
 	t.Helper()
@@ -371,7 +371,7 @@ func assertSnapshotMatchesModel(t *testing.T, tag string, sn *Snapshot, m *store
 		var at []data.LineID
 		for l := data.LineID(0); int(l) < n; l++ {
 			ml := m.lines[l]
-			want, ok := data.Measurement{Line: l, Week: w, Missing: true}, false
+			want, ok := data.Measurement{Line: -1, Week: -1, Missing: true}, false
 			if ml != nil {
 				if c, in := ml.cells[w]; in {
 					want, ok = c, true

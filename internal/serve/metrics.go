@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	runtimemetrics "runtime/metrics"
 	"time"
 
 	"nevermind/internal/obs"
@@ -133,7 +134,17 @@ func newMetrics() *metrics {
 	reg.CounterFunc("nevermind_trace_spans_total",
 		"Stage spans recorded since boot.",
 		func() float64 { return float64(m.tracer.Finished()) })
+	reg.GaugeFunc("nevermind_go_heap_goal_bytes",
+		"Heap size the Go garbage collector targets for this cycle (runtime/metrics /gc/heap/goal:bytes).",
+		heapGoalBytes)
 	return m
+}
+
+// heapGoalBytes reads the runtime's current heap goal.
+func heapGoalBytes() float64 {
+	sample := []runtimemetrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+	runtimemetrics.Read(sample)
+	return float64(sample[0].Value.Uint64())
 }
 
 // bindServer registers the exposition-time gauges that read live server
@@ -164,6 +175,9 @@ func (m *metrics) bindServer(s *Server) {
 			}
 			return 0
 		})
+	reg.GaugeFunc("nevermind_store_grid_bytes",
+		"Test-cell bytes held by the store grid's written chunks (unwritten slots share one no-record chunk).",
+		func() float64 { return float64(s.Store().GridBytes()) })
 	reg.CounterFunc("nevermind_store_filtered_records_total",
 		"Valid records dropped by the fleet ownership filter (line owned by another shard).",
 		func() float64 { return float64(s.Store().FilteredRecords()) })

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"nevermind/internal/data"
 	"nevermind/internal/obs"
 	"nevermind/internal/sim"
 )
@@ -274,5 +277,51 @@ func TestTraceEndpoint(t *testing.T) {
 		if sp.Err != "" || sp.Degraded {
 			t.Fatalf("clean run recorded a failed/degraded span: %+v", sp)
 		}
+	}
+}
+
+// TestStoreAllocatesOnlyWrittenChunks pins nevermind_store_grid_bytes on a
+// 4,096-line store (4 grid chunks a week): fed weeks 30-43, the grid holds
+// exactly the 14 weeks' chunks, and after one publish and a week-44 ingest
+// of every line, 15 weeks' worth, as does a checkpoint restore of that;
+// every other week costs no cell.
+func TestStoreAllocatesOnlyWrittenChunks(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const lines, chunks = 4096, 4
+	chunkBytes := float64(data.GridChunkLines) * float64(unsafe.Sizeof(data.Measurement{}))
+	ingestWeek := func(w int) {
+		recs := make([]TestRecord, lines)
+		for l := range recs {
+			recs[l] = TestRecord{Line: data.LineID(l), Week: w, Missing: l%7 == 0, F: []float32{float32(w), float32(l)}}
+		}
+		if _, err := srv.Store().IngestTests(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 30; w <= 43; w++ {
+		ingestWeek(w)
+	}
+	if got, want := scrapeMetric(t, ts.URL, "nevermind_store_grid_bytes"), 14*chunks*chunkBytes; got != want {
+		t.Fatalf("weeks 30-43: grid holds %.0f bytes, want %.0f", got, want)
+	}
+	if srv.Store().Snapshot() == nil {
+		t.Fatal("no snapshot")
+	}
+	ingestWeek(44)
+	if got, want := scrapeMetric(t, ts.URL, "nevermind_store_grid_bytes"), 15*chunks*chunkBytes; got != want {
+		t.Fatalf("after a publish and week 44: grid holds %.0f bytes, want %.0f", got, want)
+	}
+	// A checkpoint restore allocates only the weeks the checkpoint holds.
+	restored := NewStore(2)
+	if _, err := restored.ReadCheckpoint(bytes.NewReader(writeCkptBytes(t, srv.Store()))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := float64(restored.GridBytes()), 15*chunks*chunkBytes; got != want {
+		t.Fatalf("restored store's grid holds %.0f bytes, want %.0f", got, want)
+	}
+	if got := scrapeMetric(t, ts.URL, "nevermind_go_heap_goal_bytes"); got <= 0 {
+		t.Fatalf("heap goal reads %v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"nevermind/internal/data"
 	"nevermind/internal/rng"
@@ -128,6 +129,9 @@ func TestStoreSnapshotInvariants(t *testing.T) {
 				}
 				sn := s.Snapshot()
 				checkSnapshot(t, sn)
+				if b := s.GridBytes(); b < 0 {
+					t.Errorf("reader %d: grid bytes %d", r, b)
+				}
 				if sn != nil {
 					if sn.Version < lastVersion {
 						t.Errorf("reader %d: snapshot version went backwards %d -> %d", r, lastVersion, sn.Version)
@@ -200,6 +204,11 @@ func TestStoreSnapshotInvariants(t *testing.T) {
 				t.Fatalf("presence diverged at week %d line %d", w, l)
 			}
 		}
+	}
+	// The grid gauge, read without locks above, counts the written chunks,
+	// which depend only on which cells were written.
+	if got, want := s.GridBytes(), replay.GridBytes(); got != want || got != int64(s.grid.HeldCells())*int64(unsafe.Sizeof(data.Measurement{})) {
+		t.Fatalf("grid bytes %d, replay %d, grid holds %d cells", got, want, s.grid.HeldCells())
 	}
 	if faultSeq.hits == 0 {
 		t.Error("fault process never fired; the test lost its adversary")

@@ -109,6 +109,7 @@ func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, 
 		sh.lines, sh.tickets, sh.dedup = src.lines, src.tickets, src.dedup
 	}
 	s.grid, s.owned = fresh.grid, fresh.owned
+	s.gridCells.Store(int64(s.grid.HeldCells()))
 	s.version.Store(v)
 	s.latestWeek.Store(fresh.latestWeek.Load())
 	s.maxLine.Store(fresh.maxLine.Load())
@@ -131,7 +132,7 @@ func (r restorer) Line(l *wal.CheckpointLine) error {
 	s.owned = s.grid.Grow(int(l.Line)+1, s.owned)
 	ls := &lineState{profile: l.Profile, dslam: l.DSLAM, usage: l.Usage}
 	for _, m := range l.Tests {
-		*s.grid.At(l.Line, m.Week) = m // every chunk of a private grid is owned
+		s.grid.SetCOW(s.owned, l.Line, m.Week, m)
 		ls.seen |= 1 << m.Week
 	}
 	s.shardOf(l.Line).lines[l.Line] = ls

@@ -15,18 +15,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"nevermind/internal/data"
 )
 
 // MaxLineID bounds accepted line ids. The store keeps every test cell in a
-// dense (weeks x lines) grid of 120-byte Measurements as wide as the highest
-// line id seen, so a single wild id in an otherwise-valid batch dictates the
-// grid width: the bound is the allocation budget. 1<<17 caps the worst-case
-// grid at 52*131072*120B ~ 0.8 GB and leaves 6.5x headroom over the
-// 20k-line default population; the previous 1<<22 admitted a ~26 GB grid
-// from one record, which the ingest fuzzer demonstrated as a minutes-long
-// stall.
+// (weeks x lines) grid as wide as the highest line id seen, so a single wild
+// id in an otherwise-valid batch dictates the grid width: the bound is the
+// allocation budget. Unwritten chunks share one no-record chunk, so a wide
+// grid costs its chunk table (52 slots per 1024 lines), the per-line
+// attribute and presence slices a publish sizes to the width, and the
+// 120 KB chunks records actually write: one wild id writes one chunk. 1<<17
+// leaves 6.5x headroom over the 20k-line default population and caps the
+// grid at 52*131072*120B ~ 0.8 GB were every week of every line written;
+// the previous 1<<22 admitted a ~26 GB grid from one record, which the
+// ingest fuzzer demonstrated as a minutes-long stall.
 const MaxLineID = 1 << 17
 
 // TestRecord is one ingested weekly line-test result: the measurement plus
@@ -100,7 +104,8 @@ type Store struct {
 	shards []shard
 	mask   uint32
 	// grid is the store of record for every test cell; a cell no record has
-	// reached holds the Missing default. Chunk c of every week belongs to
+	// reached reads the no-record default from the grid's shared no-record
+	// chunk, which costs no memory per slot. Chunk c of every week belongs to
 	// shard c&mask and is written only under that shard's lock. owned[i]
 	// marks grid.Chunks[i] private to the store (no published snapshot
 	// shares it), so a write lands in place; a write to a shared chunk copies
@@ -108,6 +113,11 @@ type Store struct {
 	// shard's lock (widen, restore), as does owned at a publish.
 	grid  *data.MeasurementGrid
 	owned []bool
+	// gridCells is grid.HeldCells(), the cells its written chunks hold,
+	// kept as an atomic so /metrics reads it without the shard locks: a
+	// write that takes a slot off the shared no-record chunk adds to it,
+	// and a widen or restore (under every shard's lock) recounts it.
+	gridCells atomic.Int64
 
 	version atomic.Uint64
 	// latestWeek tracks the newest week ingested (-1 before any).
@@ -294,6 +304,13 @@ func (s *Store) GridLines() int {
 	return int(ml) + 1
 }
 
+// GridBytes returns the bytes of test cells the store's grid holds: its
+// written chunks, not the slots that point at the shared no-record chunk.
+// It takes no shard lock.
+func (s *Store) GridBytes() int64 {
+	return s.gridCells.Load() * int64(unsafe.Sizeof(data.Measurement{}))
+}
+
 // NumLines returns the number of distinct lines ingested.
 func (s *Store) NumLines() int {
 	n := 0
@@ -449,7 +466,9 @@ func (s *Store) applyTests(recs []TestRecord) {
 			}
 			m := data.Measurement{Line: r.Line, Week: r.Week, Missing: r.Missing}
 			copy(m.F[:], r.F)
-			s.grid.SetCOW(s.owned, r.Line, r.Week, m)
+			if fresh := s.grid.SetCOW(s.owned, r.Line, r.Week, m); fresh > 0 {
+				s.gridCells.Add(int64(fresh))
+			}
 			if ls.dirty == 0 {
 				sh.dirty = append(sh.dirty, r.Line)
 			}
@@ -475,6 +494,7 @@ func (s *Store) widen(line data.LineID) {
 	s.lockAll("ingest_tests")
 	if int64(line) > s.maxLine.Load() {
 		s.owned = s.grid.Grow(int(line)+1, s.owned)
+		s.gridCells.Store(int64(s.grid.HeldCells()))
 		s.maxLine.Store(int64(line))
 	}
 	s.unlockAll()
@@ -556,10 +576,10 @@ func (s *Store) applyTickets(recs []TicketRecord) []data.Ticket {
 
 // Snapshot is an immutable point-in-time view of the store in the shape the
 // feature encoder consumes: a dense data.Dataset whose grid is frozen from
-// the store's (never-ingested (line, week) cells are Missing), a prebuilt
-// ticket index, and the presence matrix that distinguishes "line tested
-// this week with the modem off" from "no record at all". Consumers must
-// treat every field as read-only.
+// the store's (never-ingested (line, week) cells are the Missing no-record
+// default), a prebuilt ticket index, and the presence matrix that
+// distinguishes "line tested this week with the modem off" from "no record
+// at all". Consumers must treat every field as read-only.
 //
 // A snapshot shares with the store every grid chunk written before its
 // publish and not since, and with the snapshot it was derived from every
@@ -851,7 +871,7 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 		sn.Ix = data.NewTicketIndex(ds) // indexed by line: grows with the grid
 	}
 	// A week's fallback averages its present cells, so it stands unless a
-	// week-w cell was written (lines the grid grew by hold Missing cells at
+	// week-w cell was written (lines the grid grew by hold no-record cells at
 	// every week not written).
 	for w := range sn.fallbacks {
 		if base != nil && written&(1<<w) == 0 {

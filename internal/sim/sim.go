@@ -181,7 +181,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			outage := outageNow[line.DSLAM]
 			mr := rng.Derive(cfg.Seed, 0x7e57, uint64(li), uint64(w))
-			*ds.At(data.LineID(li), w) = dsl.Measure(line, eff, outage, w, mr)
+			ds.Grid.SetCOW(nil, data.LineID(li), w, dsl.Measure(line, eff, outage, w, mr))
 		}
 	}
 
