@@ -41,12 +41,12 @@ test-repeat:
 	$(GO) test -count=2 ./internal/serve/
 
 # Race-detect the worker-pool paths: the parallel package itself plus the
-# cross-worker determinism, compiled-scoring, and encode-cache tests in the
-# packages that share state across goroutines, and the serving subsystem
-# whose store is hammered by concurrent ingest and score requests.
+# cross-worker determinism and compiled-scoring tests in the packages that
+# share state across goroutines, and the serving subsystem whose store is
+# hammered by concurrent ingest and score requests.
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/ml/ ./internal/obs/
-	$(GO) test -race -run 'AcrossWorkers|Compiled|Cache' ./internal/core/ ./internal/eval/
+	$(GO) test -race -run 'AcrossWorkers|Compiled' ./internal/core/
 	$(GO) test -race -timeout 30m ./internal/serve/ ./internal/chaos/ ./internal/replica/ ./internal/drift/
 
 # One benchmark per paper table/figure plus ablations; writes the artifacts

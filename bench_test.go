@@ -1458,9 +1458,8 @@ func BenchmarkDriftMonitors(b *testing.B) {
 // BenchmarkShadowScore measures one week of challenger shadow scoring —
 // ScoreExamplesIx over every line of a matured week, off the serving
 // score tables — the incremental cost a live challenger adds to each tick
-// while it auditions. serve.New detaches the eval context's encode cache
-// from the predictor, so every iteration encodes the week afresh, as the
-// drift loop's cache-free challenger does.
+// while it auditions. Every iteration encodes the week afresh through the
+// predictor's encode plan, as the drift loop's challenger does.
 func BenchmarkShadowScore(b *testing.B) {
 	ctx := benchContext(b)
 	pred, err := ctx.StandardPredictor()

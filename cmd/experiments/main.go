@@ -22,17 +22,16 @@ import (
 
 func main() {
 	var (
-		lines   = flag.Int("lines", 20000, "subscriber population to simulate")
-		seed    = flag.Uint64("seed", 42, "simulation and pipeline seed")
-		rounds  = flag.Int("rounds", 250, "predictor boosting rounds (paper: 800)")
-		locR    = flag.Int("locrounds", 80, "locator boosting rounds (paper: 200)")
-		exp     = flag.String("exp", "all", "experiment to run: fig4|fig6|fig7|fig8|fig9|table5|notonsite|locator|deploy|atds|table1|trend|all")
-		work    = flag.Int("workers", 0, "worker pool size for the pipelines (0 = all CPUs, 1 = sequential; results identical)")
-		noCache = flag.Bool("nocache", false, "disable the cross-experiment encode/bin cache (results identical, just slower)")
+		lines  = flag.Int("lines", 20000, "subscriber population to simulate")
+		seed   = flag.Uint64("seed", 42, "simulation and pipeline seed")
+		rounds = flag.Int("rounds", 250, "predictor boosting rounds (paper: 800)")
+		locR   = flag.Int("locrounds", 80, "locator boosting rounds (paper: 200)")
+		exp    = flag.String("exp", "all", "experiment to run: fig4|fig6|fig7|fig8|fig9|table5|notonsite|locator|deploy|atds|table1|trend|all")
+		work   = flag.Int("workers", 0, "worker pool size for the pipelines (0 = all CPUs, 1 = sequential; results identical)")
 	)
 	flag.Parse()
 
-	cfg := eval.Config{Lines: *lines, Seed: *seed, Rounds: *rounds, LocRounds: *locR, Workers: *work, DisableCache: *noCache}
+	cfg := eval.Config{Lines: *lines, Seed: *seed, Rounds: *rounds, LocRounds: *locR, Workers: *work}
 	start := time.Now()
 	ctx, err := eval.NewContext(cfg)
 	if err != nil {
@@ -80,10 +79,6 @@ func main() {
 	}
 	if ran == 0 {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
-	}
-	if ctx.Cache != nil {
-		hits, misses := ctx.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "[encode cache: %d hits, %d misses, %d entries]\n", hits, misses, ctx.Cache.Len())
 	}
 }
 

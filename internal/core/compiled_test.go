@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -77,43 +78,6 @@ func TestCompiledLocatorMatchesReferencePosteriors(t *testing.T) {
 			if diff := math.Abs(post[i][j] - want); diff > 1e-9 {
 				t.Fatalf("case %d disposition %d: posterior off by %g", i, d, diff)
 			}
-		}
-	}
-}
-
-// TestPredictorEncodeCacheIdenticalRanking attaches a cache and ranks the
-// same week twice: the second pass must hit the binned-matrix entry and both
-// passes must equal the uncached ranking exactly.
-func TestPredictorEncodeCacheIdenticalRanking(t *testing.T) {
-	res, pred := fixture(t)
-	week := 41
-	base, err := pred.TopN(res.Dataset, week)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := features.NewCache(8)
-	pred.SetEncodeCache(cache)
-	defer pred.SetEncodeCache(nil)
-	first, err := pred.TopN(res.Dataset, week)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, missesBefore := cache.Stats()
-	second, err := pred.TopN(res.Dataset, week)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if hits == 0 {
-		t.Fatal("second ranking did not hit the cache")
-	}
-	if misses != missesBefore {
-		t.Fatalf("second ranking missed the cache (%d -> %d misses)", missesBefore, misses)
-	}
-	for i := range base {
-		if first[i] != base[i] || second[i] != base[i] {
-			t.Fatalf("cached ranking diverged at position %d: %+v / %+v vs %+v", i, first[i], second[i], base[i])
 		}
 	}
 }
@@ -217,4 +181,47 @@ func TestPlanFollowsCompiledRefold(t *testing.T) {
 			t.Fatalf("example %+v: refolded plan %v, binned %v", exs[i], got[i], want[i])
 		}
 	}
+}
+
+// encodeFor is the binned oracle the plan tests compare against: it encodes
+// every column of the predictor's schema through features.Encode, crosses
+// the product pairs and quantizes the result with the trained cuts, as
+// training did.
+func (p *TicketPredictor) encodeFor(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example) (*ml.BinnedMatrix, error) {
+	enc, err := features.Encode(ds, ix, examples, features.Config{
+		HistoryWeeks: p.Cfg.HistoryWeeks, Quadratic: p.Cfg.UseDerived,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var keep []int
+	for _, name := range p.SelectedCols {
+		i := enc.ColumnIndex(name)
+		if i < 0 {
+			return nil, fmt.Errorf("core: schema drift: column %q missing", name)
+		}
+		keep = append(keep, i)
+	}
+	finalEnc, err := enc.Subset(keep)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.ProductPairs) > 0 {
+		var pairs []features.Pair
+		for _, pp := range p.ProductPairs {
+			a, b := enc.ColumnIndex(pp[0]), enc.ColumnIndex(pp[1])
+			if a < 0 || b < 0 {
+				return nil, fmt.Errorf("core: schema drift: product pair %v missing", pp)
+			}
+			pairs = append(pairs, features.Pair{A: a, B: b})
+		}
+		prodCols, err := features.ProductColumns(enc, pairs)
+		if err != nil {
+			return nil, err
+		}
+		if err := finalEnc.AppendColumns(prodCols, features.GroupProd); err != nil {
+			return nil, err
+		}
+	}
+	return p.Quant.TransformWorkers(finalEnc.Cols, p.Cfg.Workers)
 }

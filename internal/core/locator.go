@@ -102,17 +102,7 @@ type TroubleLocator struct {
 	combiner map[faults.DispositionID]*ml.LogisticFit
 	quant    *ml.Quantizer
 	colNames []string
-
-	// cache, when set, memoizes case encodes and quantized matrices across
-	// experiments over one immutable dataset (see features.Cache);
-	// unexported so gob skips it.
-	cache *features.Cache
 }
-
-// SetEncodeCache attaches (or with nil detaches) a cross-experiment
-// encode/bin cache; like the predictor's, it must only see the dataset it
-// was filled from.
-func (l *TroubleLocator) SetEncodeCache(c *features.Cache) { l.cache = c }
 
 // CasesFromNotes joins disposition notes with their tickets and produces the
 // dispatch training/evaluation cases whose ticket day falls in [loDay,
@@ -140,13 +130,6 @@ func CasesFromNotes(ds *data.Dataset, loDay, hiDay int) []DispatchCase {
 
 // TrainLocator learns the flat and combined models from dispatch cases.
 func TrainLocator(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfig) (*TroubleLocator, error) {
-	return TrainLocatorCached(ds, cases, cfg, nil)
-}
-
-// TrainLocatorCached is TrainLocator threading an optional encode/bin cache
-// through the case encode; the trained locator keeps the cache for its
-// subsequent Posteriors calls. A nil cache is TrainLocator exactly.
-func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfig, cache *features.Cache) (*TroubleLocator, error) {
 	if cfg.Rounds <= 0 || cfg.Bins < 2 || cfg.MinCases < 1 {
 		return nil, fmt.Errorf("core: malformed locator config %+v", cfg)
 	}
@@ -164,7 +147,6 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 		flat:     map[faults.DispositionID]*ml.BStump{},
 		locModel: map[faults.Location]*ml.BStump{},
 		combiner: map[faults.DispositionID]*ml.LogisticFit{},
-		cache:    cache,
 	}
 	total := 0
 	for d, n := range counts {
@@ -182,7 +164,7 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 	}
 
 	// Encode the dispatch cases once.
-	enc, err := encodeCases(ds, nil, cases, cfg.HistoryWeeks, cache, nil)
+	enc, err := encodeCases(ds, nil, cases, cfg.HistoryWeeks, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -288,54 +270,28 @@ func TrainLocatorCached(ds *data.Dataset, cases []DispatchCase, cfg LocatorConfi
 }
 
 // encodeCases builds the full Table 3 feature set (no products; §6.3 uses
-// all line features) for dispatch cases, memoized when a cache is given. A
-// nil ix builds the ticket index from ds. A non-nil fallback is the
-// imputation vector the encode would compute (see
-// TicketPredictor.ScoreExamplesFallback); the cached encode computes its
-// own.
-func encodeCases(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, historyWeeks int, cache *features.Cache, fallback []float32) (*features.Encoded, error) {
+// all line features) for dispatch cases. A nil ix builds the ticket index
+// from ds. A non-nil fallback is the imputation vector the encode would
+// compute (see TicketPredictor.ScoreExamplesFallback).
+func encodeCases(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, historyWeeks int, fallback []float32) (*features.Encoded, error) {
 	ex := make([]features.Example, len(cases))
 	for i, c := range cases {
 		ex[i] = features.Example{Line: c.Line, Week: c.Week}
 	}
 	cfg := features.Config{HistoryWeeks: historyWeeks, Quadratic: true}
-	if cache != nil {
-		return features.EncodeCached(cache, ds, ix, ex, cfg)
-	}
 	return features.AllColumns(cfg).Encode(ds, ix, ex, fallback, 1)
 }
 
-// casesMatrix returns the quantized design matrix for dispatch cases,
-// memoized (keyed by the cases and the quantizer's content fingerprint) when
-// a cache is attached.
+// casesMatrix returns the quantized design matrix for dispatch cases.
 func (l *TroubleLocator) casesMatrix(ds *data.Dataset, ix *data.TicketIndex, cases []DispatchCase, fallback []float32) (*ml.BinnedMatrix, error) {
-	var bmKey string
-	if l.cache != nil {
-		ex := make([]features.Example, len(cases))
-		for i, c := range cases {
-			ex[i] = features.Example{Line: c.Line, Week: c.Week}
-		}
-		bmKey = fmt.Sprintf("bin|loc|%016x|h%d|q%016x",
-			features.ExamplesKey(ex), l.Cfg.HistoryWeeks, l.quant.Fingerprint())
-		if bm, ok := l.cache.GetBinned(bmKey); ok {
-			return bm, nil
-		}
-	}
-	enc, err := encodeCases(ds, ix, cases, l.Cfg.HistoryWeeks, l.cache, fallback)
+	enc, err := encodeCases(ds, ix, cases, l.Cfg.HistoryWeeks, fallback)
 	if err != nil {
 		return nil, err
 	}
 	if len(enc.Cols) != len(l.colNames) {
 		return nil, fmt.Errorf("core: locator schema drift: %d cols vs %d", len(enc.Cols), len(l.colNames))
 	}
-	bm, err := l.quant.Transform(enc.Cols)
-	if err != nil {
-		return nil, err
-	}
-	if l.cache != nil {
-		l.cache.PutBinned(bmKey, bm)
-	}
-	return bm, nil
+	return l.quant.Transform(enc.Cols)
 }
 
 // Posteriors returns, for each case, the per-disposition score under the

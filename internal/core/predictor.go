@@ -115,22 +115,11 @@ type TicketPredictor struct {
 	// too small to split and calibration fell back to in-sample scores.
 	CalibrationHoldout int
 
-	// cache, when set, memoizes feature encodes and quantized matrices
-	// across experiments over one immutable dataset (see features.Cache).
-	// Unexported so gob persistence skips it; a loaded predictor runs
-	// uncached until SetEncodeCache is called.
-	cache *features.Cache
-
-	// plan is the serving encode folded from Model and Quant (see
-	// servingPlan), built on first cache-free scoring and rebuilt whenever
+	// plan is the scoring encode folded from Model and Quant (see
+	// servingPlan), built on first scoring and rebuilt whenever
 	// Model.Compiled() re-folds. Unexported, so gob skips it.
 	plan atomic.Pointer[encodePlan]
 }
-
-// SetEncodeCache attaches (or with nil detaches) an encode/bin cache. The
-// cache keys ignore the dataset's contents, so attach one only while every
-// dataset the predictor scores is the one the cache was filled from.
-func (p *TicketPredictor) SetEncodeCache(c *features.Cache) { p.cache = c }
 
 // Prediction is one ranked line.
 type Prediction struct {
@@ -143,13 +132,6 @@ type Prediction struct {
 // TrainPredictor learns the full pipeline on the given training weeks of a
 // dataset: encode → select features → train BStump → calibrate.
 func TrainPredictor(ds *data.Dataset, trainWeeks []int, cfg PredictorConfig) (*TicketPredictor, error) {
-	return TrainPredictorCached(ds, trainWeeks, cfg, nil)
-}
-
-// TrainPredictorCached is TrainPredictor threading an optional encode/bin
-// cache through the training encode; the trained predictor keeps the cache
-// for its subsequent rankings. A nil cache is TrainPredictor exactly.
-func TrainPredictorCached(ds *data.Dataset, trainWeeks []int, cfg PredictorConfig, cache *features.Cache) (*TicketPredictor, error) {
 	if err := validatePredictorConfig(cfg); err != nil {
 		return nil, err
 	}
@@ -158,7 +140,7 @@ func TrainPredictorCached(ds *data.Dataset, trainWeeks []int, cfg PredictorConfi
 	}
 	ix := data.NewTicketIndex(ds)
 	examples := features.ExamplesForWeeks(ds, trainWeeks)
-	enc, err := features.EncodeCached(cache, ds, ix, examples, features.Config{
+	enc, err := features.Encode(ds, ix, examples, features.Config{
 		HistoryWeeks: cfg.HistoryWeeks, Quadratic: cfg.UseDerived,
 	})
 	if err != nil {
@@ -188,7 +170,7 @@ func TrainPredictorCached(ds *data.Dataset, trainWeeks []int, cfg PredictorConfi
 	if err != nil {
 		return nil, fmt.Errorf("core: feature selection: %w", err)
 	}
-	p := &TicketPredictor{Cfg: cfg, SelectionScores: map[string]float64{}, cache: cache}
+	p := &TicketPredictor{Cfg: cfg, SelectionScores: map[string]float64{}}
 	for _, s := range skips {
 		p.SelectionSkips = append(p.SelectionSkips, s.String())
 	}
@@ -363,11 +345,13 @@ func subsetBools(y []bool, idx []int) []bool {
 	return out
 }
 
-// schemaKey fingerprints the predictor's scoring schema — selected columns,
-// product pairs, encoder settings, and the quantizer's content fingerprint —
-// for binned-matrix cache keys. Predictors that bin identical examples
-// identically share a key; retrained predictors with different cuts do not.
-func (p *TicketPredictor) schemaKey() uint64 {
+// SchemaFingerprint hashes the predictor's scoring schema — selected
+// columns, product pairs, encoder settings, and the quantizer's content
+// fingerprint — for operational surfaces: health endpoints and reload logs
+// report it so operators can tell whether a model swap changed the scoring
+// schema. It does not cover the stump values themselves — two retrains on
+// the same schema share a fingerprint.
+func (p *TicketPredictor) SchemaFingerprint() uint64 {
 	h := fnv.New64a()
 	for _, name := range p.SelectedCols {
 		io.WriteString(h, name)
@@ -386,16 +370,17 @@ func (p *TicketPredictor) schemaKey() uint64 {
 // encodePlan scores examples from the columns the model's stumps read: it
 // encodes only those (with only the history sums they need) and maps each
 // value straight to its stump interval, with no quantizing. Scores are
-// bit-identical to the binned path, encodeFor followed by
-// Model.Compiled().ScoreAllWorkers (see ml.ThresholdScorer).
+// bit-identical to the binned path — every schema column encoded,
+// quantized by Quant and scored by Model.Compiled() — which the package's
+// tests keep as the oracle (see ml.ThresholdScorer).
 type encodePlan struct {
 	cols   *features.ColumnSet
 	scorer *ml.ThresholdScorer
 }
 
 // servingPlan returns the predictor's encode plan, folding it on first use
-// and again whenever Model.Compiled() has re-folded since. Like encodeFor,
-// it refuses a schema the encoder cannot produce, used columns or not.
+// and again whenever Model.Compiled() has re-folded since. It refuses a
+// schema the encoder cannot produce, used columns or not.
 func (p *TicketPredictor) servingPlan() (*encodePlan, error) {
 	if pl := p.plan.Load(); pl != nil && pl.scorer.Compiled == p.Model.Compiled() {
 		return pl, nil
@@ -426,63 +411,6 @@ func (p *TicketPredictor) servingPlan() (*encodePlan, error) {
 	pl := &encodePlan{cols: cols, scorer: sc}
 	p.plan.Store(pl)
 	return pl, nil
-}
-
-// encodeFor re-encodes arbitrary examples into the predictor's column
-// schema. With a cache attached, both the base feature encode and the final
-// quantized matrix are memoized (keyed by the examples and the predictor's
-// schemaKey), so repeated rankings of the same weeks skip the pipeline.
-func (p *TicketPredictor) encodeFor(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example) (*ml.BinnedMatrix, error) {
-	var bmKey string
-	if p.cache != nil {
-		bmKey = fmt.Sprintf("bin|pred|%016x|%016x", features.ExamplesKey(examples), p.schemaKey())
-		if bm, ok := p.cache.GetBinned(bmKey); ok {
-			return bm, nil
-		}
-	}
-	enc, err := features.EncodeCached(p.cache, ds, ix, examples, features.Config{
-		HistoryWeeks: p.Cfg.HistoryWeeks, Quadratic: p.Cfg.UseDerived,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var keep []int
-	for _, name := range p.SelectedCols {
-		i := enc.ColumnIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("core: schema drift: column %q missing", name)
-		}
-		keep = append(keep, i)
-	}
-	finalEnc, err := enc.Subset(keep)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.ProductPairs) > 0 {
-		var pairs []features.Pair
-		for _, pp := range p.ProductPairs {
-			a, b := enc.ColumnIndex(pp[0]), enc.ColumnIndex(pp[1])
-			if a < 0 || b < 0 {
-				return nil, fmt.Errorf("core: schema drift: product pair %v missing", pp)
-			}
-			pairs = append(pairs, features.Pair{A: a, B: b})
-		}
-		prodCols, err := features.ProductColumns(enc, pairs)
-		if err != nil {
-			return nil, err
-		}
-		if err := finalEnc.AppendColumns(prodCols, features.GroupProd); err != nil {
-			return nil, err
-		}
-	}
-	bm, err := p.Quant.TransformWorkers(finalEnc.Cols, p.Cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if p.cache != nil {
-		p.cache.PutBinned(bmKey, bm)
-	}
-	return bm, nil
 }
 
 // Rank scores every line at the given week and returns the full ranking,
@@ -529,11 +457,8 @@ func (p *TicketPredictor) ScoreExamples(ds *data.Dataset, examples []features.Ex
 // ScoreExamplesIx is ScoreExamples with a caller-supplied ticket index, the
 // batch entry point for long-lived servers that score many requests against
 // one dataset snapshot: building the index once per snapshot instead of once
-// per request removes an O(tickets) pass from the hot path.
-//
-// With no encode cache attached it scores through the encode plan (see
-// encodePlan); with one, through the memoized binned matrices. Both give
-// the same bits.
+// per request removes an O(tickets) pass from the hot path. It scores
+// through the encode plan (see encodePlan).
 func (p *TicketPredictor) ScoreExamplesIx(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example) ([]float64, error) {
 	return p.ScoreExamplesFallback(ds, ix, examples, nil)
 }
@@ -542,16 +467,8 @@ func (p *TicketPredictor) ScoreExamplesIx(ds *data.Dataset, ix *data.TicketIndex
 // fallback supplied. A non-nil fallback must be the vector the encode would
 // compute itself — features.WeekFallback(ds, w) when every example is at
 // week w — and only saves that pass over the population; nil computes it
-// (the mean over the examples' weeks). The cached binned path always
-// computes its own.
+// (the mean over the examples' weeks).
 func (p *TicketPredictor) ScoreExamplesFallback(ds *data.Dataset, ix *data.TicketIndex, examples []features.Example, fallback []float32) ([]float64, error) {
-	if p.cache != nil {
-		bm, err := p.encodeFor(ds, ix, examples)
-		if err != nil {
-			return nil, err
-		}
-		return p.Model.Compiled().ScoreAllWorkers(bm, p.Cfg.Workers), nil
-	}
 	pl, err := p.servingPlan()
 	if err != nil {
 		return nil, err
@@ -586,14 +503,6 @@ func (p *TicketPredictor) PredictExamples(ds *data.Dataset, ix *data.TicketIndex
 	}
 	return out, nil
 }
-
-// SchemaFingerprint exposes the predictor's scoring-schema hash (selected
-// columns, product pairs, encoder settings, quantizer cuts) for operational
-// surfaces: health endpoints and reload logs report it so operators can tell
-// whether a model swap changed the scoring schema. It does not cover the
-// stump values themselves — two retrains on the same schema share a
-// fingerprint.
-func (p *TicketPredictor) SchemaFingerprint() uint64 { return p.schemaKey() }
 
 func validatePredictorConfig(cfg PredictorConfig) error {
 	switch {

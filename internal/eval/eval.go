@@ -12,7 +12,6 @@ import (
 
 	"nevermind/internal/core"
 	"nevermind/internal/data"
-	"nevermind/internal/features"
 	"nevermind/internal/sim"
 )
 
@@ -42,11 +41,6 @@ type Config struct {
 	// Workers sizes the pipeline worker pools (0 = GOMAXPROCS,
 	// 1 = sequential); results are bit-identical at any setting.
 	Workers int
-	// DisableCache turns off the cross-experiment encode/bin cache; every
-	// experiment then recomputes its feature matrices from scratch. Results
-	// are identical either way (see eval/cache_test.go) — this exists for
-	// A/B verification and memory-constrained runs.
-	DisableCache bool
 }
 
 // Defaults fills zero fields.
@@ -91,11 +85,6 @@ type Context struct {
 	DS  *data.Dataset
 	Ix  *data.TicketIndex
 
-	// Cache memoizes encoded/binned feature matrices across the
-	// experiments (fig4/fig6–fig9/table5/trend all walk the same weeks);
-	// nil when Cfg.DisableCache is set.
-	Cache *features.Cache
-
 	stdPred *core.TicketPredictor // lazily trained standard pipeline
 }
 
@@ -104,7 +93,7 @@ type Context struct {
 // Table 5, not-on-site).
 func (c *Context) StandardPredictor() (*core.TicketPredictor, error) {
 	if c.stdPred == nil {
-		p, err := core.TrainPredictorCached(c.DS, c.trainWeeks(), c.predictorConfig(), c.Cache)
+		p, err := core.TrainPredictor(c.DS, c.trainWeeks(), c.predictorConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -128,11 +117,7 @@ func NewContext(cfg Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{Cfg: cfg, Res: res, DS: res.Dataset, Ix: data.NewTicketIndex(res.Dataset)}
-	if !cfg.DisableCache {
-		ctx.Cache = features.NewCache(0)
-	}
-	return ctx, nil
+	return &Context{Cfg: cfg, Res: res, DS: res.Dataset, Ix: data.NewTicketIndex(res.Dataset)}, nil
 }
 
 // predictorConfig builds the standard predictor configuration for this run.

@@ -35,7 +35,7 @@ type NamedScore struct {
 // training weeks.
 func (c *Context) RunFig4() (*Fig4Result, error) {
 	examples := features.ExamplesForWeeks(c.DS, c.trainWeeks())
-	enc, err := features.EncodeCached(c.Cache, c.DS, c.Ix, examples, features.Config{Quadratic: true})
+	enc, err := features.Encode(c.DS, c.Ix, examples, features.Config{Quadratic: true})
 	if err != nil {
 		return nil, err
 	}

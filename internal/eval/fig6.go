@@ -50,7 +50,7 @@ func (c *Context) RunFig6() (*Fig6Result, error) {
 			cfg.SelectTopK = 12
 			cfg.Seed = c.Cfg.Seed + uint64(rep)*1000
 			cfg.CandidateGroups = []features.Group{features.GroupBasic, features.GroupDelta, features.GroupTS}
-			pred, err := core.TrainPredictorCached(c.DS, c.trainWeeks(), cfg, c.Cache)
+			pred, err := core.TrainPredictor(c.DS, c.trainWeeks(), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("eval: fig6 criterion %v: %w", crit, err)
 			}

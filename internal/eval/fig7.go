@@ -41,7 +41,7 @@ func (c *Context) RunFig7() (*Fig7Result, error) {
 	run := func(derived bool) ([]float64, error) {
 		cfg := c.predictorConfig()
 		cfg.UseDerived = derived
-		pred, err := core.TrainPredictorCached(c.DS, c.trainWeeks(), cfg, c.Cache)
+		pred, err := core.TrainPredictor(c.DS, c.trainWeeks(), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func (c *Context) RunFig9() (*Fig9Result, error) {
 	cfg := core.DefaultLocatorConfig(c.Cfg.Seed)
 	cfg.Rounds = c.Cfg.LocRounds
 	cfg.Workers = c.Cfg.Workers
-	loc, err := core.TrainLocatorCached(c.DS, train, cfg, c.Cache)
+	loc, err := core.TrainLocator(c.DS, train, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -164,14 +164,8 @@ func (cs *ColumnSet) Encode(ds *data.Dataset, ix *data.TicketIndex, examples []E
 	if err != nil {
 		return nil, err
 	}
-	return cs.derive(base), nil
-}
-
-// derive builds the set's columns from base, an encode of exactly cs.base:
-// base columns are shared (their values, not their headers), squares and
-// products computed. base itself is left untouched, so a cached base can
-// serve several sets.
-func (cs *ColumnSet) derive(base *Encoded) *Encoded {
+	// Base columns pass through by value slice, squares and products are
+	// computed from them.
 	squares := make([][]float32, len(cs.base)) // each square computed once
 	values := func(t term) []float32 {
 		v := base.Cols[t.slot].Values
@@ -192,7 +186,7 @@ func (cs *ColumnSet) derive(base *Encoded) *Encoded {
 		out.Cols[j] = ml.Column{Name: o.name, Categorical: o.categorical, Values: v}
 		out.Groups[j] = o.group
 	}
-	return out
+	return out, nil
 }
 
 // squared reports whether base column c has a quadratic column: the signed

@@ -141,133 +141,3 @@ func (m *BStump) Compiled() *CompiledScorer {
 	m.compiled.Store(c)
 	return c
 }
-
-// CompiledBTree is a BTree ensemble folded as far as depth-2 trees allow.
-// A tree whose two children are constant leaves or split the root feature
-// again is a step function of the root bin alone and folds into a per-bin
-// table exactly like a stump. Trees whose children consult a second feature
-// are genuine two-feature interactions — no additive per-feature table can
-// represent them — and stay in Residual, scored directly (still branch-free
-// on hoisted bin rows). Table contributions accumulate in training order;
-// an example's score sums the feature groups ascending, then the residual
-// trees in training order.
-type CompiledBTree struct {
-	Features   []int
-	Tables     [][]float64
-	Residual   []Tree
-	CompiledAt int
-}
-
-// foldableSide reports whether a child stump depends on nothing beyond the
-// root feature's bin.
-func foldableSide(root int, s Stump) bool {
-	return s.Feature < 0 || s.Feature == root
-}
-
-// sideValue evaluates a foldable child at root bin b.
-func sideValue(s Stump, b int) float64 {
-	if s.Feature < 0 || b <= int(s.Cut) {
-		return s.SLow
-	}
-	return s.SHigh
-}
-
-// CompileBTree folds the ensemble. Use BTree.Compiled for the cached,
-// staleness-checked accessor.
-func CompileBTree(m *BTree) *CompiledBTree {
-	c := &CompiledBTree{CompiledAt: len(m.Trees)}
-	tabs := map[int][]float64{}
-	for _, t := range m.Trees {
-		if !foldableSide(t.RootFeature, t.Left) || !foldableSide(t.RootFeature, t.Right) {
-			c.Residual = append(c.Residual, t)
-			continue
-		}
-		tab := tabs[t.RootFeature]
-		if tab == nil {
-			tab = make([]float64, maxStumpBins)
-			tabs[t.RootFeature] = tab
-		}
-		for b := 0; b < maxStumpBins; b++ {
-			if b <= int(t.RootCut) {
-				tab[b] += sideValue(t.Left, b)
-			} else {
-				tab[b] += sideValue(t.Right, b)
-			}
-		}
-	}
-	c.Features = make([]int, 0, len(tabs))
-	for f := range tabs {
-		c.Features = append(c.Features, f)
-	}
-	sort.Ints(c.Features)
-	c.Tables = make([][]float64, len(c.Features))
-	for k, f := range c.Features {
-		c.Tables[k] = tabs[f]
-	}
-	return c
-}
-
-// StaleFor reports whether the fold predates an ensemble of length rounds.
-func (c *CompiledBTree) StaleFor(rounds int) bool {
-	return c == nil || c.CompiledAt != rounds
-}
-
-// ScoreAll scores every example with the default worker count.
-func (c *CompiledBTree) ScoreAll(bm *BinnedMatrix) []float64 {
-	return c.ScoreAllWorkers(bm, 0)
-}
-
-// ScoreAllWorkers scores every example; bit-identical at any worker count
-// (fixed per-example accumulation order: tables ascending by feature, then
-// residual trees in training order).
-func (c *CompiledBTree) ScoreAllWorkers(bm *BinnedMatrix, workers int) []float64 {
-	if scoreObserver.Load() != nil {
-		defer observeScore(bm.N, time.Now())
-	}
-	out := make([]float64, bm.N)
-	parallel.For(bm.N, workers, func(_, start, end int) {
-		for k, f := range c.Features {
-			tab := c.Tables[k][:maxStumpBins]
-			bins := bm.Bins[f]
-			for i := start; i < end; i++ {
-				out[i] += tab[bins[i]]
-			}
-		}
-		for ti := range c.Residual {
-			t := &c.Residual[ti]
-			rootBins := bm.Bins[t.RootFeature]
-			var leftBins, rightBins []uint8
-			if t.Left.Feature >= 0 {
-				leftBins = bm.Bins[t.Left.Feature]
-			}
-			if t.Right.Feature >= 0 {
-				rightBins = bm.Bins[t.Right.Feature]
-			}
-			for i := start; i < end; i++ {
-				child, childBins := &t.Left, leftBins
-				if rootBins[i] > t.RootCut {
-					child, childBins = &t.Right, rightBins
-				}
-				switch {
-				case childBins == nil: // constant leaf
-					out[i] += child.SLow
-				case childBins[i] <= child.Cut:
-					out[i] += child.SLow
-				default:
-					out[i] += child.SHigh
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Compiled returns the cached fold, re-folding after ensemble mutation.
-func (m *BTree) Compiled() *CompiledBTree {
-	if c := m.compiled.Load(); !c.StaleFor(len(m.Trees)) {
-		return c
-	}
-	c := CompileBTree(m)
-	m.compiled.Store(c)
-	return c
-}

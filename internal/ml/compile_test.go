@@ -203,68 +203,3 @@ func TestCompiledStalenessDetected(t *testing.T) {
 		t.Fatalf("post-mutation score = %v, want 1.5", got)
 	}
 }
-
-// TestCompiledBTreeMatchesReference exercises the partial fold: trees whose
-// children are constant or re-split the root feature land in tables, true
-// two-feature trees stay in Residual, and the combined score matches the
-// reference at the compiled tolerance.
-func TestCompiledBTreeMatchesReference(t *testing.T) {
-	cols, y := xorProblem(3000, 19)
-	q, err := FitQuantizer(cols, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := q.Transform(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := TrainBTree(bm, q, y, TrainOptions{Rounds: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.Compiled()
-	if c.CompiledAt != len(m.Trees) {
-		t.Fatalf("CompiledAt = %d, want %d", c.CompiledAt, len(m.Trees))
-	}
-	// The XOR problem needs genuine two-feature interactions; at least one
-	// tree must be unfoldable or the fold criterion is wrong.
-	if len(c.Residual) == 0 && len(m.Trees) > 1 {
-		t.Fatal("XOR ensemble folded with no residual trees")
-	}
-	ref := m.ScoreAllWorkers(bm, 1)
-	for _, workers := range workerCounts() {
-		if d := maxAbsDiff(ref, c.ScoreAllWorkers(bm, workers)); d > compiledTolerance {
-			t.Fatalf("workers=%d: compiled BTree off by %g", workers, d)
-		}
-	}
-
-	// A hand-built fully foldable ensemble (constant children and root
-	// re-splits) must compile to tables only.
-	foldable := &BTree{Trees: []Tree{
-		{RootFeature: 0, RootCut: 3,
-			Left:  Stump{Feature: -1, Cut: 255, SLow: 0.5, SHigh: 0.5},
-			Right: Stump{Feature: 0, Cut: 9, SLow: -0.25, SHigh: 1}},
-		{RootFeature: 1, RootCut: 7,
-			Left:  Stump{Feature: 1, Cut: 2, SLow: 0.125, SHigh: -1},
-			Right: Stump{Feature: -1, Cut: 255, SLow: 2, SHigh: 2}},
-	}}
-	fc := foldable.Compiled()
-	if len(fc.Residual) != 0 {
-		t.Fatalf("fully foldable ensemble kept %d residual trees", len(fc.Residual))
-	}
-	if d := maxAbsDiff(foldable.ScoreAllWorkers(bm, 1), fc.ScoreAll(bm)); d > compiledTolerance {
-		t.Fatalf("foldable BTree compiled off by %g", d)
-	}
-
-	// BTree staleness: appending a tree must force a re-fold.
-	foldable.Trees = append(foldable.Trees, Tree{RootFeature: 0, RootCut: 1,
-		Left:  Stump{Feature: 1, Cut: 4, SLow: 1, SHigh: -1},
-		Right: Stump{Feature: -1, Cut: 255, SLow: 0, SHigh: 0}})
-	fc2 := foldable.Compiled()
-	if fc2 == fc || fc2.CompiledAt != 3 {
-		t.Fatalf("BTree re-fold after mutation: got CompiledAt %d", fc2.CompiledAt)
-	}
-	if d := maxAbsDiff(foldable.ScoreAllWorkers(bm, 1), fc2.ScoreAll(bm)); d > compiledTolerance {
-		t.Fatalf("mutated BTree compiled off by %g", d)
-	}
-}

@@ -132,8 +132,8 @@ func (bm *BinnedMatrix) SubsetRows(idx []int) *BinnedMatrix {
 
 // Fingerprint identifies the fitted quantizer by content (feature names and
 // exact cut bit patterns): two quantizers with equal fingerprints bin
-// identical columns identically. Used as the quantizer-identity component of
-// encode/bin cache keys, where pointer identity would be unsafe.
+// identical columns identically. It is the quantizer's part of a predictor's
+// schema fingerprint, where pointer identity would not survive a reload.
 func (q *Quantizer) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [4]byte

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"nevermind/internal/parallel"
 )
@@ -43,10 +42,6 @@ func (t *Tree) Score(bm *BinnedMatrix, i int) float64 {
 type BTree struct {
 	Trees []Tree
 	Calib Calibration
-
-	// compiled caches the partial per-bin table fold of this ensemble (see
-	// compile.go); unexported so gob persistence skips it.
-	compiled atomic.Pointer[CompiledBTree]
 }
 
 // TrainBTree boosts depth-2 trees. The greedy construction picks the best

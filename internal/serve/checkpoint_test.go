@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,22 +13,18 @@ import (
 	"nevermind/internal/wal"
 )
 
-// format1Fixture is a format-1 checkpoint (gzipped gob) of the
-// format1Steps history at version 6, written by the last writer of that
-// format, so the loader keeps reading existing WAL directories.
-var format1Fixture = filepath.Join("testdata", "format1", "ckpt-00000000000000000006.ckpt")
-
 // fixtureStep is one ingest batch: exactly one of tests/tickets is set.
 type fixtureStep struct {
 	tests   []TestRecord
 	tickets []TicketRecord
 }
 
-// format1Steps is the ingest history behind testdata/format1: 20 lines
-// (ids 1, 4, ..., 58) over weeks 40-42, each line skipping at most one week,
-// line 22's week-41 cell Missing, and per week a ticket batch whose last
-// week also files a ticket on line 200, which never tests (a pending
-// ticket). Six steps, so the store ends at version 6.
+// format1Steps is the ingest history behind testdata/format2 (named for the
+// format-1 fixture it was first written for): 20 lines (ids 1, 4, ..., 58)
+// over weeks 40-42, each line skipping at most one week, line 22's week-41
+// cell Missing, and per week a ticket batch whose last week also files a
+// ticket on line 200, which never tests (a pending ticket). Six steps, so
+// the store ends at version 6.
 func format1Steps() []fixtureStep {
 	var steps []fixtureStep
 	for w := 40; w <= 42; w++ {
@@ -118,70 +115,6 @@ func assertEmptyStore(t testing.TB, s *Store) {
 	}
 }
 
-// TestCheckpointFormat1Fixture restores the committed format-1 checkpoint
-// and requires the store a client would see from feeding the same records
-// directly: the same snapshot, watermarks and full shard state (the pending
-// ticket included, which no snapshot shows until its line tests).
-func TestCheckpointFormat1Fixture(t *testing.T) {
-	want := NewStore(4)
-	feedSteps(t, want, format1Steps())
-
-	got := NewStore(8)
-	v, err := got.LoadCheckpoint(format1Fixture)
-	if err != nil {
-		t.Fatalf("format-1 fixture does not load: %v", err)
-	}
-	if v != 6 || got.Version() != want.Version() {
-		t.Fatalf("restored version %d (store %d), want %d", v, got.Version(), want.Version())
-	}
-	if got.LatestWeek() != want.LatestWeek() || got.GridLines() != want.GridLines() {
-		t.Fatalf("watermarks: week %d/%d, grid lines %d/%d", got.LatestWeek(), want.LatestWeek(), got.GridLines(), want.GridLines())
-	}
-	assertSameContent(t, want.Snapshot(), got.Snapshot())
-	// Full shard state, pending ticket included: both stores write the same
-	// format-2 bytes.
-	if !bytes.Equal(writeCkptBytes(t, got), writeCkptBytes(t, want)) {
-		t.Fatal("restored format-1 state writes different checkpoint bytes than the directly fed store")
-	}
-	// The pending ticket surfaces once its line tests, on both stores.
-	first := []TestRecord{{Line: 200, Week: 42, F: []float32{1}}}
-	for _, s := range []*Store{want, got} {
-		if _, err := s.IngestTests(first); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sn := got.Snapshot()
-	assertSameContent(t, want.Snapshot(), sn)
-	pending := 0
-	for _, tk := range sn.DS.Tickets {
-		if tk.Line == 200 {
-			pending++
-		}
-	}
-	if pending != 1 {
-		t.Fatalf("line 200 shows %d tickets after its first test, want the pending one", pending)
-	}
-
-	// An existing WAL directory holding only the format-1 checkpoint
-	// recovers through OpenDurability.
-	dir := t.TempDir()
-	b, err := os.ReadFile(format1Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, filepath.Base(format1Fixture)), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, d := recoverStore(t, dir, DurabilityConfig{Sync: wal.SyncNever, CheckpointEvery: -1})
-	defer d.Close()
-	if rec := d.Recovery(); rec.CheckpointVersion != 6 || rec.SkippedCheckpoints != 0 {
-		t.Fatalf("recovery over the format-1 directory: %+v", rec)
-	}
-	fed := NewStore(4)
-	feedSteps(t, fed, format1Steps())
-	assertSameContent(t, fed.Snapshot(), s.Snapshot())
-}
-
 // format2Fixture is the format-2 checkpoint a store fed format1Steps writes
 // at version 6. It is committed so that the bytes are compared across
 // commits, not only within one binary.
@@ -218,11 +151,70 @@ func TestCheckpointFormat2Fixture(t *testing.T) {
 	}
 }
 
-// TestCheckpointFormat1CorruptRejected damages the format-1 fixture: a
-// flipped byte or a cut tail must not load, must leave the store empty, and
-// the same store must then load the intact file.
-func TestCheckpointFormat1CorruptRejected(t *testing.T) {
-	good, err := os.ReadFile(format1Fixture)
+// TestCheckpointFixtureRestore restores the committed checkpoint and
+// requires the store a client would see from feeding the same records
+// directly: the same watermarks, the pending ticket (which no snapshot shows
+// until its line tests) surfacing on the line's first test, and the same
+// content when a WAL directory holding only the checkpoint recovers through
+// OpenDurability.
+func TestCheckpointFixtureRestore(t *testing.T) {
+	want := NewStore(4)
+	feedSteps(t, want, format1Steps())
+
+	got := NewStore(8)
+	v, err := got.LoadCheckpoint(format2Fixture)
+	if err != nil {
+		t.Fatalf("fixture does not load: %v", err)
+	}
+	if v != 6 || got.Version() != want.Version() {
+		t.Fatalf("restored version %d (store %d), want %d", v, got.Version(), want.Version())
+	}
+	if got.LatestWeek() != want.LatestWeek() || got.GridLines() != want.GridLines() {
+		t.Fatalf("watermarks: week %d/%d, grid lines %d/%d", got.LatestWeek(), want.LatestWeek(), got.GridLines(), want.GridLines())
+	}
+	first := []TestRecord{{Line: 200, Week: 42, F: []float32{1}}}
+	for _, s := range []*Store{want, got} {
+		if _, err := s.IngestTests(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := got.Snapshot()
+	assertSameContent(t, want.Snapshot(), sn)
+	pending := 0
+	for _, tk := range sn.DS.Tickets {
+		if tk.Line == 200 {
+			pending++
+		}
+	}
+	if pending != 1 {
+		t.Fatalf("line 200 shows %d tickets after its first test, want the pending one", pending)
+	}
+
+	dir := t.TempDir()
+	b, err := os.ReadFile(format2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(format2Fixture)), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, d := recoverStore(t, dir, DurabilityConfig{Sync: wal.SyncNever, CheckpointEvery: -1})
+	defer d.Close()
+	if rec := d.Recovery(); rec.CheckpointVersion != 6 || rec.SkippedCheckpoints != 0 {
+		t.Fatalf("recovery over the checkpoint-only directory: %+v", rec)
+	}
+	fed := NewStore(4)
+	feedSteps(t, fed, format1Steps())
+	assertSameContent(t, fed.Snapshot(), s.Snapshot())
+}
+
+// TestCheckpointCorruptRejected damages the committed checkpoint: a flipped
+// byte or a cut tail must not load, must leave the store empty, and the same
+// store must then load the intact file. Gzip bytes, the retired format 1's
+// framing, are not a checkpoint, and a restore never lands on top of
+// existing state.
+func TestCheckpointCorruptRejected(t *testing.T) {
+	good, err := os.ReadFile(format2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,20 +223,20 @@ func TestCheckpointFormat1CorruptRejected(t *testing.T) {
 	for name, b := range map[string][]byte{
 		"flipped":   flipped,
 		"truncated": good[:len(good)-10],
+		"gzip":      {0x1f, 0x8b, 8, 0},
 	} {
 		s := NewStore(4)
-		if _, err := s.ReadCheckpoint(bytes.NewReader(b)); err == nil {
-			t.Fatalf("%s format-1 checkpoint loaded cleanly", name)
+		if _, err := s.ReadCheckpoint(bytes.NewReader(b)); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("%s checkpoint: %v, want wal.ErrCorrupt", name, err)
 		}
 		assertEmptyStore(t, s)
 		if v, err := s.ReadCheckpoint(bytes.NewReader(good)); err != nil || v != 6 {
 			t.Fatalf("%s: intact fixture on the same store: version %d, %v", name, v, err)
 		}
 	}
-	// A restore never lands on top of existing state.
 	s := NewStore(4)
 	feedSteps(t, s, format1Steps()[:1])
-	if _, err := s.LoadCheckpoint(format1Fixture); err == nil {
+	if _, err := s.LoadCheckpoint(format2Fixture); err == nil {
 		t.Fatal("checkpoint restored into a non-empty store")
 	}
 }

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"math/bits"
 	"net/url"
-	"os"
 	"slices"
 	"testing"
 
@@ -184,7 +184,7 @@ func FuzzRankParams(f *testing.F) {
 // bytes it must either restore a state that passes every restore check — and
 // writes a checkpoint that loads back to the same state — or fail and leave
 // the store empty. A healthy format-2 file that has been cut short, had one
-// bit flipped, or been extended never restores.
+// bit flipped, or been extended never restores, nor do gzip bytes.
 func FuzzCheckpointDecode(f *testing.F) {
 	src := NewStore(4)
 	feedSteps(f, src, format1Steps())
@@ -209,13 +209,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add(append(append([]byte(nil), healthy...), 0))
-	format1, err := os.ReadFile(format1Fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(format1)
 	f.Add([]byte("NVMCKPT2 but not really a checkpoint"))
+	// Gzip bytes, as format 1 was, are not a checkpoint: a bare gzip header,
+	// and a whole gzip stream of the healthy file.
 	f.Add([]byte{0x1f, 0x8b, 0, 0})
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(healthy); err != nil || zw.Close() != nil {
+		f.Fatal("gzip seed")
+	}
+	f.Add(gz.Bytes())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -227,6 +230,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		if damagedCopy(b, healthy) {
 			t.Fatalf("a truncated, bit-flipped or extended healthy checkpoint restored (%d bytes vs %d)", len(b), len(healthy))
+		}
+		if bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Fatal("gzip bytes restored as a checkpoint")
 		}
 		if v != s.Version() {
 			t.Fatalf("loader returned version %d, store at %d", v, s.Version())

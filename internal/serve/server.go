@@ -131,10 +131,7 @@ type Server struct {
 }
 
 // New builds a Server around trained models. Repeated scoring of a snapshot
-// is answered from its resident week score tables, so the models run
-// without an encode/bin cache: New detaches any cache an offline caller
-// trained them with (see features.Cache), because its keys ignore the data
-// and would serve one store's encodes for another's.
+// is answered from its resident week score tables.
 func New(cfg Config) (*Server, error) {
 	if cfg.Predictor == nil {
 		return nil, errors.New("serve: a trained predictor is required")
@@ -153,10 +150,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.SwapStore(NewStore(cfg.Shards))
 	s.m.bindServer(s)
-	cfg.Predictor.SetEncodeCache(nil)
-	if cfg.Locator != nil {
-		cfg.Locator.SetEncodeCache(nil)
-	}
 	if cfg.ModelID == "" {
 		cfg.ModelID = "boot"
 	}

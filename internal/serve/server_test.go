@@ -306,19 +306,17 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 
 // TestServersShareNoEncodeCache pins the cross-store aliasing bug the
 // in-process fleet once exposed, as behaviour. Two servers share one
-// predictor and one locator that were trained with an offline encode/bin
-// cache attached, and ingest the same line ids with different values up to
-// the same version. Each must answer score, rank and locate exactly as
-// cache-free copies of the models compute on its own snapshot. The cache's
-// keys cover the examples, not the data, so if New left it attached the
-// second server would be answered from the first one's encodes.
+// predictor and one locator and ingest the same line ids with different
+// values up to the same version. Each must answer score, rank and locate
+// exactly as reloaded copies of the models compute on its own snapshot, so
+// nothing the shared models hold may carry one store's encodes into the
+// other's answers.
 func TestServersShareNoEncodeCache(t *testing.T) {
 	ds, _, _ := fixture(t)
-	cache := features.NewCache(0)
 	pcfg := core.DefaultPredictorConfig(ds.NumLines, 11)
 	pcfg.Rounds = 10
 	pcfg.MaxSelectExamples = 4000
-	pred, err := core.TrainPredictorCached(ds, features.WeekRange(36, 38), pcfg, cache)
+	pred, err := core.TrainPredictor(ds, features.WeekRange(36, 38), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +324,11 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 	lcfg.Rounds = 5
 	lcfg.MinCases = 5
 	cases := core.CasesFromNotes(ds, data.FirstSaturday, data.SaturdayOf(40)-1)
-	loc, err := core.TrainLocatorCached(ds, cases, lcfg, cache)
+	loc, err := core.TrainLocator(ds, cases, lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cache-free copies: a saved model loads without a cache.
+	// Reference copies that no server has scored through.
 	dir := t.TempDir()
 	if err := pred.Save(filepath.Join(dir, "pred.gob.gz")); err != nil {
 		t.Fatal(err)
@@ -384,7 +382,7 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 		ex = append(ex, features.Example{Line: data.LineID(line), Week: week})
 	}
 	const locLine = 7
-	// checkLocate compares the served locate answer with the cache-free
+	// checkLocate compares the served locate answer with the reference
 	// locator on a freshly built ticket index over the server's snapshot.
 	checkLocate := func(tag string, url string, sn *Snapshot) {
 		t.Helper()
@@ -412,7 +410,7 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 		}
 		for _, d := range disps {
 			if d.Probability != wantPost[d.ID] {
-				t.Errorf("%s locate disposition %d: served %v, cache-free model says %v", tag, d.ID, d.Probability, wantPost[d.ID])
+				t.Errorf("%s locate disposition %d: served %v, reference model says %v", tag, d.ID, d.Probability, wantPost[d.ID])
 				break
 			}
 		}
@@ -434,7 +432,7 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 		}
 		for j, p := range served[i] {
 			if p.Score != want[j].Score || p.Probability != want[j].Probability {
-				t.Errorf("server %d score %d: served %+v, cache-free model says %+v", i, j, p, want[j])
+				t.Errorf("server %d score %d: served %+v, reference model says %+v", i, j, p, want[j])
 				break
 			}
 		}
@@ -456,7 +454,7 @@ func TestServersShareNoEncodeCache(t *testing.T) {
 		}
 		for j, p := range ranked {
 			if p.Line != top[j].Line || p.Score != top[j].Score {
-				t.Errorf("server %d rank[%d]: served %+v, cache-free model says %+v", i, j, p, top[j])
+				t.Errorf("server %d rank[%d]: served %+v, reference model says %+v", i, j, p, top[j])
 				break
 			}
 		}

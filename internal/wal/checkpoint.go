@@ -2,9 +2,7 @@ package wal
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -45,9 +43,8 @@ import (
 // Writes are atomic: tmp + fsync + rename + dir fsync — a crashed write
 // leaves only a .tmp husk, which pruning removes.
 //
-// Format 1, written before format 2, is a gzipped gob stream of a header and
-// the whole state (the gzip footer CRC covers it). It stays readable, so
-// existing WAL directories still recover; nothing writes it any more.
+// Format 1, a gzipped gob stream written before format 2, is no longer
+// read: its bytes fail as "not a checkpoint".
 
 const (
 	ckptMagic   = "NVMCKPT2"
@@ -83,12 +80,11 @@ type CheckpointLine struct {
 }
 
 // order is what every checkpoint must satisfy record by record, on the
-// write side and on the read side of either format: lines strictly
-// ascending, each with one to data.Weeks cells in strictly ascending weeks
-// that name the record's line, and attributes within the data model's
-// ranges; then tickets strictly ascending in data.TicketLess order and
-// within range. It counts the records it has passed; the zero value is
-// ready for the first record.
+// write side and on the read side: lines strictly ascending, each with one
+// to data.Weeks cells in strictly ascending weeks that name the record's
+// line, and attributes within the data model's ranges; then tickets
+// strictly ascending in data.TicketLess order and within range. It counts
+// the records it has passed; the zero value is ready for the first record.
 type order struct {
 	lastLine data.LineID
 	lastTkt  data.Ticket
@@ -350,10 +346,10 @@ type CheckpointSink interface {
 	Ticket(data.Ticket) error
 }
 
-// LoadCheckpoint reads a checkpoint file of either format into sink and
-// returns the store version it captures, cross-checked against the file
-// name. On error the sink may have seen records of a file that does not
-// load: the caller discards whatever it built from them.
+// LoadCheckpoint reads a checkpoint file into sink and returns the store
+// version it captures, cross-checked against the file name. On error the
+// sink may have seen records of a file that does not load: the caller
+// discards whatever it built from them.
 func LoadCheckpoint(path string, sink CheckpointSink) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -370,26 +366,18 @@ func LoadCheckpoint(path string, sink CheckpointSink) (uint64, error) {
 	return v, nil
 }
 
-// ReadCheckpoint reads a checkpoint byte stream of either format (the exact
-// file bytes, minus the file-name cross-check LoadCheckpoint adds) into sink
-// and returns the store version it captures. This is the loader a
-// replication follower uses on an HTTP response body, where there is no file
-// name. The same caveat applies: on error, discard what the sink built.
+// ReadCheckpoint reads a checkpoint byte stream (the exact file bytes, minus
+// the file-name cross-check LoadCheckpoint adds) into sink and returns the
+// store version it captures. This is the loader a replication follower uses
+// on an HTTP response body, where there is no file name. The same caveat
+// applies: on error, discard what the sink built.
 func ReadCheckpoint(r io.Reader, sink CheckpointSink) (uint64, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	magic, _ := br.Peek(len(ckptMagic))
-	switch {
-	case string(magic) == ckptMagic:
-		return readFormat2(br, sink)
-	case len(magic) >= 2 && magic[0] == 0x1f && magic[1] == 0x8b: // gzip
-		return readFormat1(br, sink)
+	if magic, _ := br.Peek(len(ckptMagic)); string(magic) != ckptMagic {
+		return 0, fmt.Errorf("%w: not a checkpoint", ErrCorrupt)
 	}
-	return 0, fmt.Errorf("%w: not a checkpoint", ErrCorrupt)
-}
-
-func readFormat2(r io.Reader, sink CheckpointSink) (uint64, error) {
 	hdr := make([]byte, ckptHdrLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return 0, fmt.Errorf("%w: checkpoint header truncated", ErrCorrupt)
 	}
 	if f := binary.LittleEndian.Uint32(hdr[8:]); f != ckptFormat {
@@ -406,7 +394,7 @@ func readFormat2(r io.Reader, sink CheckpointSink) (uint64, error) {
 		ord  order
 	)
 	for {
-		payload, err := readFrame(r, buf, 1, ckptFrameMax)
+		payload, err := readFrame(br, buf, 1, ckptFrameMax)
 		if err == io.EOF {
 			return 0, fmt.Errorf("%w: checkpoint ends without its end frame", ErrCorrupt)
 		}
@@ -459,76 +447,12 @@ func readFormat2(r io.Reader, sink CheckpointSink) (uint64, error) {
 				return 0, fmt.Errorf("%w: checkpoint end frame does not match %d lines, %d tickets", ErrCorrupt, ord.lines, ord.tickets)
 			}
 			var extra [1]byte
-			if _, err := io.ReadFull(r, extra[:]); err != io.EOF {
+			if _, err := io.ReadFull(br, extra[:]); err != io.EOF {
 				return 0, fmt.Errorf("%w: bytes after the checkpoint end frame", ErrCorrupt)
 			}
 			return version, nil
 		}
 	}
-}
-
-// ckptV1Header and ckptV1State mirror the gob values a format-1 file holds;
-// gob matches fields by name, and the state's LatestWeek and MaxLine
-// watermarks are left out because a restore derives them from the records.
-type ckptV1Header struct {
-	Magic   string
-	Format  int
-	Version uint64
-}
-
-type ckptV1State struct {
-	Version uint64
-	Lines   []CheckpointLine
-	Tickets []data.Ticket
-}
-
-func readFormat1(r io.Reader, sink CheckpointSink) (uint64, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return 0, fmt.Errorf("wal: checkpoint not gzip: %w", err)
-	}
-	defer zr.Close()
-	dec := gob.NewDecoder(zr)
-	var hdr ckptV1Header
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, fmt.Errorf("wal: decode checkpoint header: %w", err)
-	}
-	if hdr.Magic != "NVMCKPT1" || hdr.Format != 1 {
-		return 0, fmt.Errorf("wal: bad format-1 checkpoint header %q/%d", hdr.Magic, hdr.Format)
-	}
-	var st ckptV1State
-	if err := dec.Decode(&st); err != nil {
-		return 0, fmt.Errorf("wal: decode checkpoint state: %w", err)
-	}
-	// Drain to EOF so the gzip footer CRC is verified before the sink sees
-	// a record: gob stops reading at the last value.
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint trailer: %w", err)
-	}
-	if hdr.Version == 0 {
-		return 0, errVersionZero
-	}
-	if st.Version != hdr.Version {
-		return 0, fmt.Errorf("%w: checkpoint state version %d, header %d", ErrCorrupt, st.Version, hdr.Version)
-	}
-	var ord order
-	for i := range st.Lines {
-		if err := ord.line(&st.Lines[i]); err != nil {
-			return 0, err
-		}
-		if err := sink.Line(&st.Lines[i]); err != nil {
-			return 0, err
-		}
-	}
-	for _, t := range st.Tickets {
-		if err := ord.ticket(t); err != nil {
-			return 0, err
-		}
-		if err := sink.Ticket(t); err != nil {
-			return 0, err
-		}
-	}
-	return hdr.Version, nil
 }
 
 // CheckpointInfo describes one checkpoint file.
