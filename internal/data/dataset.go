@@ -118,18 +118,6 @@ func (d *Dataset) DailyBytes(line LineID, day int) float64 {
 	return meanBytes * u * r.LogNormal(0, 0.75)
 }
 
-// TicketsForLine returns the arrival days of customer-edge tickets for a line
-// in ascending order.
-func (d *Dataset) TicketsForLine(line LineID) []int {
-	var days []int
-	for _, t := range d.Tickets {
-		if t.Line == line && t.Category == CatCustomerEdge {
-			days = append(days, t.Day)
-		}
-	}
-	return days
-}
-
 // NextTicketWithin reports whether the line files a customer-edge ticket in
 // the window (afterDay, afterDay+windowDays]. This is the label function
 // Tkt(u, t, T) of §4.1 with T = windowDays.

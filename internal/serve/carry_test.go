@@ -41,7 +41,7 @@ func assertTablesIdentical(t *testing.T, tag string, got *weekTable, gotSn *Snap
 			t.Fatalf("%s: line %d fragment %s, rebuild %s", tag, l, gf, wf)
 		}
 	}
-	gr, wr := got.rankedLines(gotSn), want.rankedLines(wantSn)
+	gr, wr := got.rankedLines(gotSn, math.MaxInt), want.rankedLines(wantSn, math.MaxInt)
 	if len(gr) != len(wr) {
 		t.Fatalf("%s: ranked %d lines, rebuild %d", tag, len(gr), len(wr))
 	}
@@ -285,7 +285,7 @@ func TestCarryRescoresOnlyDirtyLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab.rankedLines(base)
+		tab.rankedLines(base, math.MaxInt)
 		resident[w] = tab
 	}
 
@@ -336,42 +336,142 @@ func TestCarryRescoresOnlyDirtyLines(t *testing.T) {
 	assertTablesIdentical(t, "patched vs rebuild", tab, sn, want, ref)
 }
 
+// rankTestScores returns a score column over size lines that forces ties:
+// a few distinct values, +0 beside -0, and dark lines that all score the
+// week's fallback.
+func rankTestScores(r *rng.RNG, size int) []float64 {
+	scores := make([]float64, size)
+	fallback := r.Normal(0, 1)
+	for l := range scores {
+		switch r.Intn(5) {
+		case 0:
+			scores[l] = fallback
+		case 1:
+			scores[l] = 0
+		case 2:
+			scores[l] = math.Copysign(0, -1)
+		default:
+			scores[l] = float64(r.Intn(40))/8 - 2.5
+		}
+	}
+	return scores
+}
+
+// rankTestLines picks n of the column's lines, ascending, as a week's
+// present population: the table covers absent lines too.
+func rankTestLines(r *rng.RNG, scores []float64, n int) []data.LineID {
+	perm := r.Perm(len(scores))[:n]
+	slices.Sort(perm)
+	lines := make([]data.LineID, n)
+	for i, l := range perm {
+		lines[i] = data.LineID(l)
+	}
+	return lines
+}
+
+// referenceRank is the order the table served before it packed keys: a
+// sort.Slice over line ids by (score desc, line asc).
+func referenceRank(scores []float64, lines []data.LineID) []data.LineID {
+	want := slices.Clone(lines)
+	sort.Slice(want, func(a, b int) bool {
+		if scores[want[a]] != scores[want[b]] {
+			return scores[want[a]] > scores[want[b]]
+		}
+		return want[a] < want[b]
+	})
+	return want
+}
+
+// rankTestTable is a built week-3 table over scores whose snapshot presents
+// lines at that week.
+func rankTestTable(scores []float64, lines []data.LineID) (*weekTable, *Snapshot) {
+	sn := &Snapshot{}
+	sn.linesAt[3] = lines
+	return &weekTable{week: 3, scores: scores}, sn
+}
+
 // TestRankByScoreMatchesSort: ranking from packed keys gives, line for
-// line, the order the table served before it, a sort.Slice over line ids
-// by (score desc, line asc). The scores force ties: a few distinct values,
-// +0 beside -0, and dark lines that all score the week's fallback.
+// line, the order the table served before it, the reference sort. For every
+// n from 1 to the population plus one, a fresh table's rankedLines(sn, n) is
+// the reference's first n lines, whether the bounded selection or the full
+// sort picked them; the largest population is checked at a spread of n.
 func TestRankByScoreMatchesSort(t *testing.T) {
 	r := rng.Derive(29, 0)
-	for _, n := range []int{0, 1, 2, 1023, 32768} {
-		scores := make([]float64, n+n/3) // the table covers absent lines too
-		fallback := r.Normal(0, 1)
-		for l := range scores {
-			switch r.Intn(5) {
-			case 0:
-				scores[l] = fallback
-			case 1:
-				scores[l] = 0
-			case 2:
-				scores[l] = math.Copysign(0, -1)
-			default:
-				scores[l] = float64(r.Intn(40))/8 - 2.5
+	for _, pop := range []int{0, 1, 2, 3, 17, 300, 1023, 32768} {
+		scores := rankTestScores(r, pop+pop/3)
+		lines := rankTestLines(r, scores, pop)
+		want := referenceRank(scores, lines)
+		if got := rankByScore(scores, lines, pop); !slices.Equal(got, want) {
+			t.Fatalf("%d lines: packed-key rank differs from the reference sort", pop)
+		}
+		ns := []int{1, 2, 50, 655, pop - 1, pop, pop + 1}
+		if pop <= 1023 {
+			ns = ns[:0]
+			for n := 1; n <= pop+1; n++ {
+				ns = append(ns, n)
 			}
 		}
-		perm := r.Perm(len(scores))[:n]
-		slices.Sort(perm)
-		lines := make([]data.LineID, n)
-		for i, l := range perm {
-			lines[i] = data.LineID(l)
-		}
-		want := slices.Clone(lines)
-		sort.Slice(want, func(a, b int) bool {
-			if scores[want[a]] != scores[want[b]] {
-				return scores[want[a]] > scores[want[b]]
+		for _, n := range ns {
+			tab, sn := rankTestTable(scores, lines)
+			if got := tab.rankedLines(sn, n); !slices.Equal(got, want[:min(n, pop)]) {
+				t.Fatalf("%d lines, n=%d: ranked %v, want the reference's first %d", pop, n, got, min(n, pop))
 			}
-			return want[a] < want[b]
-		})
-		if got := rankByScore(scores, lines); !slices.Equal(got, want) {
-			t.Fatalf("%d lines: packed-key rank differs from the reference sort", n)
+		}
+	}
+}
+
+// TestRankedLinesPrefixes: on one table, requests for 50, 400, 50 and the
+// whole population return prefixes of one order, the reference's; a longer
+// request replaces the kept prefix without rewriting it, so every slice
+// returned earlier still reads the same lines.
+func TestRankedLinesPrefixes(t *testing.T) {
+	r := rng.Derive(31, 0)
+	scores := rankTestScores(r, 6000)
+	lines := rankTestLines(r, scores, 4500)
+	want := referenceRank(scores, lines)
+	tab, sn := rankTestTable(scores, lines)
+	var got [][]data.LineID
+	for _, n := range []int{50, 400, 50, len(lines)} {
+		ranked := tab.rankedLines(sn, n)
+		if !slices.Equal(ranked, want[:n]) {
+			t.Fatalf("n=%d after %d requests: not the reference's first %d lines", n, len(got), n)
+		}
+		got = append(got, ranked)
+	}
+	for i, ranked := range got {
+		if !slices.Equal(ranked, want[:len(ranked)]) {
+			t.Fatalf("request %d's %d lines were rewritten by a later request", i, len(ranked))
+		}
+	}
+	if &got[2][0] != &got[1][0] {
+		t.Fatal("n=50 after n=400 was ranked again; want a slice of the kept prefix")
+	}
+}
+
+// TestRankedLinesConcurrent: concurrent requests for different n on one
+// table each get the reference's first n lines (under make race, the kept
+// prefix's handoff is checked too).
+func TestRankedLinesConcurrent(t *testing.T) {
+	r := rng.Derive(37, 0)
+	scores := rankTestScores(r, 5000)
+	lines := rankTestLines(r, scores, 4000)
+	want := referenceRank(scores, lines)
+	tab, sn := rankTestTable(scores, lines)
+	ns := []int{50, 655, 1, 4000, 200, 3999, 50, 4001}
+	errs := make(chan error, len(ns))
+	for _, n := range ns {
+		go func() {
+			ranked := tab.rankedLines(sn, n)
+			if !slices.Equal(ranked, want[:min(n, len(lines))]) {
+				errs <- fmt.Errorf("n=%d: not the reference's first %d lines", n, min(n, len(lines)))
+				return
+			}
+			errs <- nil
+		}()
+	}
+	for range ns {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

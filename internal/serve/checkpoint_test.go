@@ -102,17 +102,33 @@ func writeCkptBytes(t testing.TB, s *Store) []byte {
 }
 
 // assertEmptyStore fails unless s holds nothing at all: no version, no
-// watermarks, no line and no ticket in any shard.
+// watermarks, no line in the line table or its count, and no ticket in any
+// shard.
 func assertEmptyStore(t testing.TB, s *Store) {
 	t.Helper()
 	if s.Version() != 0 || s.LatestWeek() != -1 || s.GridLines() != 0 {
 		t.Fatalf("store not empty: version %d, latest week %d, grid lines %d", s.Version(), s.LatestWeek(), s.GridLines())
 	}
+	if held := heldLines(s); len(held) != 0 || s.NumLines() != 0 {
+		t.Fatalf("store not empty: %d lines held, NumLines %d", len(held), s.NumLines())
+	}
 	for i := range s.shards {
-		if sh := &s.shards[i]; len(sh.lines) != 0 || len(sh.tickets) != 0 || len(sh.dedup) != 0 {
-			t.Fatalf("shard %d not empty: %d lines, %d tickets", i, len(sh.lines), len(sh.tickets))
+		if sh := &s.shards[i]; len(sh.tickets) != 0 || len(sh.dedup) != 0 {
+			t.Fatalf("shard %d not empty: %d tickets", i, len(sh.tickets))
 		}
 	}
+}
+
+// heldLines returns the ids of the lines s's line table holds (a nonzero
+// seen mask), ascending.
+func heldLines(s *Store) []data.LineID {
+	var held []data.LineID
+	for l := range s.lines {
+		if s.lines[l].seen != 0 {
+			held = append(held, data.LineID(l))
+		}
+	}
+	return held
 }
 
 // format2Fixture is the format-2 checkpoint a store fed format1Steps writes
@@ -316,38 +332,45 @@ func TestCheckpointBytesIdenticalAcrossShardsAndOrder(t *testing.T) {
 }
 
 // assertValidRestore checks a restored store against every invariant the
-// loader promises: lines inside [0, MaxLineID) in their own shard, at least
-// one seen week, each seen cell naming its line and week, attributes in
-// range, tickets in range and in their line's shard, the dedup set matching
-// the ticket list, and watermarks matching the content.
+// loader promises: a line table as wide as the grid, lines inside [0,
+// MaxLineID) and counted by NumLines, their seen weeks inside the year and
+// no dirty or listed mark, each seen cell naming its line and week,
+// attributes in range, tickets in range and in their line's shard, the
+// dedup set matching the ticket list, and watermarks matching the content.
 func assertValidRestore(t *testing.T, s *Store) {
 	t.Helper()
 	latest, maxLine := int64(-1), int64(-1)
+	if len(s.lines) != s.grid.NumLines || len(s.lines) > MaxLineID {
+		t.Fatalf("line table holds %d entries for a %d-line grid", len(s.lines), s.grid.NumLines)
+	}
+	held := heldLines(s)
+	if len(held) != s.NumLines() {
+		t.Fatalf("line table holds %d lines, NumLines %d", len(held), s.NumLines())
+	}
+	for _, l := range held {
+		ls := s.lines[l]
+		if int(ls.profile) >= len(data.Profiles) || ls.dslam < 0 {
+			t.Fatalf("line %d has profile %d, DSLAM %d", l, ls.profile, ls.dslam)
+		}
+		if ls.dirty != 0 || ls.listed {
+			t.Fatalf("line %d restored with dirty weeks %b, listed %v", l, ls.dirty, ls.listed)
+		}
+		for w := 0; w < data.Weeks; w++ {
+			if ls.seen&(1<<w) == 0 {
+				continue
+			}
+			if m := *s.grid.At(l, w); m.Line != l || m.Week != w {
+				t.Fatalf("line %d week %d holds a cell for line %d week %d", l, w, m.Line, m.Week)
+			}
+			latest = max(latest, int64(w))
+		}
+		if ls.seen>>data.Weeks != 0 {
+			t.Fatalf("line %d restored with weeks %b", l, ls.seen)
+		}
+		maxLine = max(maxLine, int64(l))
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		for l, ls := range sh.lines {
-			if l < 0 || l >= MaxLineID || s.shardIndex(l) != i {
-				t.Fatalf("line %d restored into shard %d", l, i)
-			}
-			if int(ls.profile) >= len(data.Profiles) || ls.dslam < 0 {
-				t.Fatalf("line %d has profile %d, DSLAM %d", l, ls.profile, ls.dslam)
-			}
-			seen := 0
-			for w := 0; w < data.Weeks; w++ {
-				if ls.seen&(1<<w) == 0 {
-					continue
-				}
-				seen++
-				if m := *s.grid.At(l, w); m.Line != l || m.Week != w {
-					t.Fatalf("line %d week %d holds a cell for line %d week %d", l, w, m.Line, m.Week)
-				}
-				latest = max(latest, int64(w))
-			}
-			if seen == 0 || ls.seen>>data.Weeks != 0 {
-				t.Fatalf("line %d restored with weeks %b", l, ls.seen)
-			}
-			maxLine = max(maxLine, int64(l))
-		}
 		if len(sh.dedup) != len(sh.tickets) {
 			t.Fatalf("shard %d: %d tickets, %d dedup keys", i, len(sh.tickets), len(sh.dedup))
 		}
@@ -378,16 +401,17 @@ type lineContent struct {
 func storeState(s *Store) (map[data.LineID]lineContent, []data.Ticket) {
 	lines := make(map[data.LineID]lineContent)
 	var tickets []data.Ticket
-	for i := range s.shards {
-		for l, ls := range s.shards[i].lines {
-			c := lineContent{profile: ls.profile, dslam: ls.dslam, usage: ls.usage}
-			for w := 0; w < data.Weeks; w++ {
-				if ls.seen&(1<<w) != 0 {
-					c.tests = append(c.tests, *s.grid.At(l, w))
-				}
+	for _, l := range heldLines(s) {
+		ls := s.lines[l]
+		c := lineContent{profile: ls.profile, dslam: ls.dslam, usage: ls.usage}
+		for w := 0; w < data.Weeks; w++ {
+			if ls.seen&(1<<w) != 0 {
+				c.tests = append(c.tests, *s.grid.At(l, w))
 			}
-			lines[l] = c
 		}
+		lines[l] = c
+	}
+	for i := range s.shards {
 		tickets = append(tickets, s.shards[i].tickets...)
 	}
 	sortTickets(tickets)

@@ -228,10 +228,6 @@ func (d *Durability) Recovery() RecoveryStats { return d.recovery }
 // LastCheckpointVersion returns the version of the newest durable checkpoint.
 func (d *Durability) LastCheckpointVersion() uint64 { return d.lastCkpt.Load() }
 
-// AppendFailures returns how many ingest batches failed to log (the log is
-// frozen after the first).
-func (d *Durability) AppendFailures() uint64 { return d.appendFailures.Load() }
-
 func (d *Durability) observeFsync(dur time.Duration) {
 	if d.fsyncDur != nil {
 		d.fsyncDur.Observe(dur)

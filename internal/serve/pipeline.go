@@ -509,8 +509,8 @@ func (b storeBackend) WaitFresh(_ context.Context, week int, version uint64) (Fr
 }
 
 // topN ranks the week's population and keeps the budget. The week's score
-// table is shared with the HTTP handlers — when the API already ranked this
-// (snapshot, week), the pipeline's run is a lookup.
+// table is shared with the HTTP handlers — when the API already ranked at
+// least the budget on this (snapshot, week), the pipeline's run is a lookup.
 func (b storeBackend) topN(sn *Snapshot, week int) ([]data.LineID, error) {
 	if len(sn.LinesAt(week)) == 0 {
 		return nil, nil
@@ -525,6 +525,5 @@ func (b storeBackend) topN(sn *Snapshot, week int) ([]data.LineID, error) {
 	}
 	rksp := m.beginStage("rank", week)
 	defer rksp.end()
-	ranked := tab.rankedLines(sn)
-	return ranked[:min(models.Pred.Cfg.BudgetN, len(ranked))], nil
+	return tab.rankedLines(sn, models.Pred.Cfg.BudgetN), nil
 }

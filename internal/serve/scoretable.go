@@ -47,10 +47,11 @@ type weekTable struct {
 	from  *weekTable
 	dirty []data.LineID
 
-	// ranked is built lazily on the first /v1/rank or pipeline ranking:
-	// the week's present lines, score-descending (ties line-ascending).
-	rankOnce sync.Once
-	ranked   []data.LineID
+	// rankMu guards ranked, the longest prefix of the week's present lines
+	// in rank order (score descending, ties line-ascending) that a /v1/rank
+	// or pipeline ranking has asked for; built lazily, see rankedLines.
+	rankMu sync.Mutex
+	ranked []data.LineID
 }
 
 // tabKey identifies a table in a snapshot's cache. Models is compared by
@@ -157,44 +158,104 @@ func (t *weekTable) appendFrag(buf []byte, l data.LineID) []byte {
 	return append(buf, '}')
 }
 
-// rankedLines returns the week's present population best-first: score
-// descending, ties by ascending line id — the order /v1/rank has always
-// served. Built once per table; callers must not modify the slice.
-func (t *weekTable) rankedLines(sn *Snapshot) []data.LineID {
-	t.rankOnce.Do(func() { t.ranked = rankByScore(t.scores, sn.LinesAt(t.week)) })
-	return t.ranked
+// rankedLines returns the first min(n, population) of the week's present
+// lines best-first: score descending, ties by ascending line id — the order
+// /v1/rank has always served. The table keeps the longest prefix asked for,
+// so a request for no more lines than that is a slice of it. A longer
+// request replaces the kept prefix with a new slice and never rewrites it,
+// so a slice already returned stays valid; callers must not modify it.
+func (t *weekTable) rankedLines(sn *Snapshot, n int) []data.LineID {
+	lines := sn.LinesAt(t.week)
+	n = max(0, min(n, len(lines)))
+	t.rankMu.Lock()
+	defer t.rankMu.Unlock()
+	if len(t.ranked) < n {
+		t.ranked = rankByScore(t.scores, lines, n)
+	}
+	return t.ranked[:n]
 }
 
-// rankKey packs one line's sort key next to it, so the sort compares
-// contiguous keys instead of chasing scores[line].
+// rankKey packs one line's sort key next to it, so the selection and the
+// sort compare contiguous keys instead of chasing scores[line].
 type rankKey struct {
 	score float64
 	line  data.LineID
 }
 
-// rankByScore returns lines sorted by scores[line] descending, ties by
-// ascending line id. Scores are finite, so (score desc, line asc) is a
-// strict total order — line ids are unique, and +0 and -0 compare equal and
-// tie by line — and the unstable sort is deterministic.
-func rankByScore(scores []float64, lines []data.LineID) []data.LineID {
-	keys := make([]rankKey, len(lines))
-	for i, l := range lines {
-		keys[i] = rankKey{scores[l], l}
+// rankCmp orders keys best-first: score descending, ties by ascending line
+// id. Scores are finite, so this is a strict total order — line ids are
+// unique, and +0 and -0 compare equal and tie by line — and an unstable
+// sort under it is deterministic.
+func rankCmp(a, b rankKey) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
 	}
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		switch {
-		case a.score > b.score:
-			return -1
-		case a.score < b.score:
-			return 1
+	return cmp.Compare(a.line, b.line)
+}
+
+// rankByScore returns the first n of lines in rankCmp order of
+// (scores[line], line). For 0 < n < len(lines) it keeps the n best keys in
+// a bounded heap, one pass over lines, and sorts only those; from
+// len(lines) on it sorts every key.
+func rankByScore(scores []float64, lines []data.LineID, n int) []data.LineID {
+	var keys []rankKey
+	if n >= len(lines) {
+		keys = make([]rankKey, len(lines))
+		for i, l := range lines {
+			keys[i] = rankKey{scores[l], l}
 		}
-		return cmp.Compare(a.line, b.line)
-	})
+	} else {
+		keys = topKeys(scores, lines, n)
+	}
+	slices.SortFunc(keys, rankCmp)
 	r := make([]data.LineID, len(keys))
 	for i, k := range keys {
 		r[i] = k.line
 	}
 	return r
+}
+
+// topKeys returns, in no particular order, the n keys, 0 < n < len(lines),
+// that come first in rankCmp order. They are kept as a heap whose root is
+// the worst of them, so each further line costs one comparison unless it
+// displaces the root.
+func topKeys(scores []float64, lines []data.LineID, n int) []rankKey {
+	h := make([]rankKey, n)
+	for i, l := range lines[:n] {
+		h[i] = rankKey{scores[l], l}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftWorst(h, i)
+	}
+	for _, l := range lines[n:] {
+		if k := (rankKey{scores[l], l}); rankCmp(k, h[0]) < 0 {
+			h[0] = k
+			siftWorst(h, 0)
+		}
+	}
+	return h
+}
+
+// siftWorst restores the heap property below h[i]: every key ranks before
+// its parent, so h[0] is the worst key in h.
+func siftWorst(h []rankKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankCmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankCmp(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // tableDelta is what one publish changed against its base, in the terms a
@@ -210,7 +271,7 @@ type tableDelta struct {
 // carryTables decides what the snapshot sn, published from base with d, inherits
 // of the week tables read on base. Per table at week w:
 //
-//   - share (same pointer, ranked order included) when d touched no cell at a
+//   - share (same pointer, ranked prefix included) when d touched no cell at a
 //     week ≤ w, added no ticket on or before w's Saturday and changed no
 //     line's attributes: every score, probability and the ranked order stand;
 //   - drop when d touched a week-w cell and the week's imputation fallback

@@ -553,16 +553,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		ranked := tab.rankedLines(sn)
-		if n > len(ranked) {
-			n = len(ranked)
-		}
+		ranked := tab.rankedLines(sn, n)
 		buf = append(buf, `{"n":`...)
-		buf = strconv.AppendInt(buf, int64(n), 10)
+		buf = strconv.AppendInt(buf, int64(len(ranked)), 10)
 		buf = append(buf, `,"population":`...)
 		buf = strconv.AppendInt(buf, int64(len(lines)), 10)
 		buf = append(buf, `,"predictions":[`...)
-		for i, l := range ranked[:n] {
+		for i, l := range ranked {
 			if i > 0 {
 				buf = append(buf, ',')
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 
 	"nevermind/internal/data"
 	"nevermind/internal/wal"
@@ -25,25 +24,22 @@ import (
 // applyTickets run before bumpVersion, and replaying WAL records past the
 // version re-applies idempotently (test cells overwrite per (line, week),
 // tickets dedup), which is exactly what recovery does. Lines are read in id
-// order, each under its shard's read lock, and no shard lock is held across
-// a file write; so no copy of the whole state is ever built.
+// order up to the grid width read after the version, each under its shard's
+// read lock (a concurrent widen may move the line table), and no shard lock
+// is held across a file write; so no copy of the whole state is ever built.
 func (s *Store) WriteCheckpoint(dir string, after uint64) (uint64, error) {
 	version := s.version.Load()
 	if version <= after {
 		return 0, nil
 	}
-	var ids []data.LineID
+	width := s.GridLines()
 	var tickets []data.Ticket
 	for i := range s.shards {
 		sh := &s.shards[i]
 		s.rlockShard(sh, "checkpoint")
-		for l := range sh.lines {
-			ids = append(ids, l)
-		}
 		tickets = append(tickets, sh.tickets...)
 		sh.mu.RUnlock()
 	}
-	slices.Sort(ids)
 	sortTickets(tickets)
 
 	cw, err := wal.CreateCheckpoint(dir, version)
@@ -52,10 +48,14 @@ func (s *Store) WriteCheckpoint(dir string, after uint64) (uint64, error) {
 	}
 	defer cw.Abort()
 	var cl wal.CheckpointLine
-	for _, l := range ids {
+	for l := data.LineID(0); int(l) < width; l++ {
 		sh := s.shardOf(l)
 		s.rlockShard(sh, "checkpoint")
-		ls := sh.lines[l]
+		ls := s.lines[l]
+		if ls.seen == 0 {
+			sh.mu.RUnlock()
+			continue
+		}
 		cl = wal.CheckpointLine{Line: l, Profile: ls.profile, DSLAM: ls.dslam, Usage: ls.usage, Tests: cl.Tests[:0]}
 		for seen := ls.seen; seen != 0; seen &= seen - 1 {
 			cl.Tests = append(cl.Tests, *s.grid.At(l, bits.TrailingZeros64(seen)))
@@ -90,10 +90,10 @@ func (s *Store) ReadCheckpoint(r io.Reader) (uint64, error) {
 	return s.restore(func(sink wal.CheckpointSink) (uint64, error) { return wal.ReadCheckpoint(r, sink) })
 }
 
-// restore runs a checkpoint read into a fresh store and moves its shards
-// and grid into s only once the whole file has loaded, so a failed read
-// leaves s empty. s has never published a snapshot (it was empty), so its
-// first publish derives everything from the restored state.
+// restore runs a checkpoint read into a fresh store and moves its shards,
+// grid and line table into s only once the whole file has loaded, so a
+// failed read leaves s empty. s has never published a snapshot (it was
+// empty), so its first publish derives everything from the restored state.
 func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, error) {
 	if s.version.Load() != 0 || s.maxLine.Load() != -1 {
 		return 0, fmt.Errorf("serve: checkpoint restore into a non-empty store (version %d)", s.version.Load())
@@ -106,9 +106,10 @@ func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, 
 	s.lockAll("checkpoint")
 	for i := range s.shards {
 		sh, src := &s.shards[i], &fresh.shards[i]
-		sh.lines, sh.tickets, sh.dedup = src.lines, src.tickets, src.dedup
+		sh.tickets, sh.dedup = src.tickets, src.dedup
 	}
-	s.grid, s.owned = fresh.grid, fresh.owned
+	s.grid, s.owned, s.lines = fresh.grid, fresh.owned, fresh.lines
+	s.numLines.Store(fresh.numLines.Load())
 	s.gridCells.Store(int64(s.grid.HeldCells()))
 	s.version.Store(v)
 	s.latestWeek.Store(fresh.latestWeek.Load())
@@ -118,10 +119,11 @@ func (s *Store) restore(read func(wal.CheckpointSink) (uint64, error)) (uint64, 
 }
 
 // restorer is the wal.CheckpointSink that seats checkpoint records into a
-// private store, widening its grid line by line (lines arrive ascending) and
-// deriving its watermarks from the lines. The wal loader has already checked
-// order and the data model's ranges, and that each cell names its line; the
-// restorer adds the store's own bound on line ids.
+// private store, widening its grid and line table line by line (lines
+// arrive ascending) and deriving its watermarks from the lines. The wal
+// loader has already checked order and the data model's ranges, and that
+// each cell names its line; the restorer adds the store's own bound on line
+// ids.
 type restorer struct{ s *Store }
 
 func (r restorer) Line(l *wal.CheckpointLine) error {
@@ -129,13 +131,14 @@ func (r restorer) Line(l *wal.CheckpointLine) error {
 		return fmt.Errorf("serve: checkpoint line %d outside [0,%d)", l.Line, MaxLineID)
 	}
 	s := r.s
-	s.owned = s.grid.Grow(int(l.Line)+1, s.owned)
-	ls := &lineState{profile: l.Profile, dslam: l.DSLAM, usage: l.Usage}
+	s.grow(int(l.Line) + 1)
+	ls := &s.lines[l.Line]
+	*ls = lineState{profile: l.Profile, dslam: l.DSLAM, usage: l.Usage}
 	for _, m := range l.Tests {
 		s.grid.SetCOW(s.owned, l.Line, m.Week, m)
 		ls.seen |= 1 << m.Week
 	}
-	s.shardOf(l.Line).lines[l.Line] = ls
+	s.numLines.Add(1)
 	s.latestWeek.Store(max(s.latestWeek.Load(), int64(l.Tests[len(l.Tests)-1].Week)))
 	s.maxLine.Store(int64(l.Line))
 	return nil

@@ -24,13 +24,14 @@ import (
 // (weeks x lines) grid as wide as the highest line id seen, so a single wild
 // id in an otherwise-valid batch dictates the grid width: the bound is the
 // allocation budget. Unwritten chunks share one no-record chunk, so a wide
-// grid costs its chunk table (52 slots per 1024 lines), the per-line
-// attribute and presence slices a publish sizes to the width, and the
-// 120 KB chunks records actually write: one wild id writes one chunk. 1<<17
-// leaves 6.5x headroom over the 20k-line default population and caps the
-// grid at 52*131072*120B ~ 0.8 GB were every week of every line written;
-// the previous 1<<22 admitted a ~26 GB grid from one record, which the
-// ingest fuzzer demonstrated as a minutes-long stall.
+// grid costs its chunk table (52 slots per 1024 lines), the store's line
+// table (32 B per line of width, 4 MB at the cap), the per-line attribute
+// and presence slices a publish sizes to the width, and the 120 KB chunks
+// records actually write: one wild id writes one chunk. 1<<17 leaves 6.5x
+// headroom over the 20k-line default population and caps the grid at
+// 52*131072*120B ~ 0.8 GB were every week of every line written; the
+// previous 1<<22 admitted a ~26 GB grid from one record, which the ingest
+// fuzzer demonstrated as a minutes-long stall.
 const MaxLineID = 1 << 17
 
 // TestRecord is one ingested weekly line-test result: the measurement plus
@@ -63,11 +64,12 @@ type TicketRecord struct {
 // which live in the store's grid: its static attributes and two week
 // bitmasks. Bit w of seen is set once a week-w record has arrived (at most
 // one record per week; re-ingesting a week overwrites its cell, so replayed
-// feeds converge). Bit w of dirty is set while the week-w cell holds a write
-// no published snapshot has seen. listed is set once a published snapshot's
-// Lines holds the line, so a publish tells a new line from a listed one
-// without searching Lines. Newness cannot be read off the bitmasks:
-// re-ingesting a listed line's only week leaves seen == dirty.
+// feeds converge); the store holds the line iff seen is nonzero. Bit w of
+// dirty is set while the week-w cell holds a write no published snapshot
+// has seen. listed is set once a published snapshot's Lines holds the line,
+// so a publish tells a new line from a listed one without searching Lines.
+// Newness cannot be read off the bitmasks: re-ingesting a listed line's
+// only week leaves seen == dirty.
 type lineState struct {
 	profile     uint8
 	listed      bool
@@ -77,13 +79,12 @@ type lineState struct {
 }
 
 // shard is one lock domain of the store. It owns the lines of every grid
-// chunk whose index is its own modulo the shard count, so each chunk is
-// written under exactly one lock and concurrent ingest batches for
-// different line ranges proceed in parallel; tickets live with the shard of
-// their line.
+// chunk whose index is its own modulo the shard count, so each chunk and
+// the same lines' entries of the store's line table are written under
+// exactly one lock and concurrent ingest batches for different line ranges
+// proceed in parallel; tickets live with the shard of their line.
 type shard struct {
 	mu      sync.RWMutex
-	lines   map[data.LineID]*lineState
 	tickets []data.Ticket
 	// dedup guards against replayed ticket feeds: the exact same ticket
 	// (id, line, day, category) ingests once.
@@ -113,6 +114,13 @@ type Store struct {
 	// shard's lock (widen, restore), as does owned at a publish.
 	grid  *data.MeasurementGrid
 	owned []bool
+	// lines is the line table: lines[l] is line l's state, one entry per
+	// line of the grid's width. Entry l belongs to the shard of l's grid
+	// chunk and is read and written only under that shard's lock; the slice
+	// itself grows with the grid, under every shard's lock, and may move
+	// when it does. numLines counts the entries whose seen is nonzero.
+	lines    []lineState
+	numLines atomic.Int64
 	// gridCells is grid.HeldCells(), the cells its written chunks hold,
 	// kept as an atomic so /metrics reads it without the shard locks: a
 	// write that takes a slot off the shared no-record chunk adds to it,
@@ -180,7 +188,6 @@ func NewStore(shards int) *Store {
 		grid:   data.NewMeasurementGrid(0),
 	}
 	for i := range s.shards {
-		s.shards[i].lines = make(map[data.LineID]*lineState)
 		s.shards[i].dedup = make(map[data.Ticket]struct{})
 	}
 	s.latestWeek.Store(-1)
@@ -280,18 +287,6 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // the first ingest.
 func (s *Store) LatestWeek() int { return int(s.latestWeek.Load()) }
 
-// ShardSizes returns the number of lines held per shard, for the monitoring
-// surface.
-func (s *Store) ShardSizes() []int {
-	out := make([]int, len(s.shards))
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		out[i] = len(s.shards[i].lines)
-		s.shards[i].mu.RUnlock()
-	}
-	return out
-}
-
 // GridLines returns the width the next snapshot grid will have — the
 // highest applied test-record line id plus one, 0 before the first ingest.
 // A fleet's global grid width is the max of its shards' GridLines, which is
@@ -311,14 +306,9 @@ func (s *Store) GridBytes() int64 {
 	return s.gridCells.Load() * int64(unsafe.Sizeof(data.Measurement{}))
 }
 
-// NumLines returns the number of distinct lines ingested.
-func (s *Store) NumLines() int {
-	n := 0
-	for _, c := range s.ShardSizes() {
-		n += c
-	}
-	return n
-}
+// NumLines returns the number of distinct lines ingested. It takes no
+// shard lock.
+func (s *Store) NumLines() int { return int(s.numLines.Load()) }
 
 func validateTest(r *TestRecord) error {
 	switch {
@@ -450,11 +440,10 @@ func (s *Store) applyTests(recs []TestRecord) {
 		s.lockShard(sh, "ingest_tests")
 		for _, i := range idxs {
 			r := &recs[i]
-			ls := sh.lines[r.Line]
-			isNew := ls == nil
+			ls := &s.lines[r.Line]
+			isNew := ls.seen == 0
 			if isNew {
-				ls = &lineState{}
-				sh.lines[r.Line] = ls
+				s.numLines.Add(1)
 			}
 			// A Missing (modem-off) record carries no measurements and
 			// typically no static attributes either; letting it overwrite
@@ -485,19 +474,29 @@ func (s *Store) applyTests(recs []TestRecord) {
 	}
 }
 
-// widen grows the grid to cover line when it lies past it. Growing re-lays
-// the chunk table every shard indexes, so it holds every shard's lock.
+// widen grows the grid and the line table to cover line when it lies past
+// them. Growing re-lays the chunk table every shard indexes and may move
+// the line table, so it holds every shard's lock.
 func (s *Store) widen(line data.LineID) {
 	if int64(line) <= s.maxLine.Load() {
 		return
 	}
 	s.lockAll("ingest_tests")
 	if int64(line) > s.maxLine.Load() {
-		s.owned = s.grid.Grow(int(line)+1, s.owned)
+		s.grow(int(line) + 1)
 		s.gridCells.Store(int64(s.grid.HeldCells()))
 		s.maxLine.Store(int64(line))
 	}
 	s.unlockAll()
+}
+
+// grow widens the grid and the line table to n lines. The caller holds
+// every shard's lock or owns the store outright (a restore's private one).
+func (s *Store) grow(n int) {
+	s.owned = s.grid.Grow(n, s.owned)
+	if n > len(s.lines) {
+		s.lines = slices.Grow(s.lines, n-len(s.lines))[:n]
+	}
 }
 
 // IngestTickets applies a batch of customer tickets (exact duplicates are
@@ -723,35 +722,32 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 	clear(s.owned)
 	n := grid.NumLines
 	grew := n > nb
-	nw := 0
-	for i := range s.shards {
-		if base == nil {
-			nw += len(s.shards[i].lines)
-		} else {
+	nw := int(s.numLines.Load())
+	if base != nil {
+		nw = 0
+		for i := range s.shards {
 			nw += len(s.shards[i].dirty)
 		}
 	}
 	writes := make([]lineWrite, 0, nw)
+	if base == nil { // every present cell counts as written, every line as new
+		for l := range s.lines {
+			if ls := &s.lines[l]; ls.seen != 0 {
+				ls.dirty, ls.listed = ls.seen, false
+				writes = s.readWrite(writes, data.LineID(l))
+			}
+		}
+	}
 	var added []data.Ticket
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if h := s.faults; h != nil && h.ShardRead != nil {
 			h.ShardRead(i)
 		}
-		if base == nil { // every present cell counts as written
-			sh.dirty = sh.dirty[:0]
-			for l, ls := range sh.lines {
-				ls.dirty = ls.seen
-				sh.dirty = append(sh.dirty, l)
+		if base != nil {
+			for _, l := range sh.dirty {
+				writes = s.readWrite(writes, l)
 			}
-		}
-		for _, l := range sh.dirty {
-			ls := sh.lines[l]
-			writes = append(writes, lineWrite{
-				line: l, weeks: ls.dirty, profile: ls.profile, dslam: ls.dslam, usage: ls.usage,
-				unlisted: base == nil || !ls.listed, // a base-less publish lists every line
-			})
-			ls.dirty, ls.listed = 0, true
 		}
 		sh.dirty = sh.dirty[:0]
 		// A ticket shows once the grid has its line's row. New tickets
@@ -892,6 +888,18 @@ func (s *Store) publish(base *Snapshot, version uint64) (*Snapshot, error) {
 		m.snapshotBuilds.With(kind).Add(1)
 	}
 	return sn, nil
+}
+
+// readWrite appends line l as the publish reads it to writes, then marks it
+// published: no week dirty, listed. The caller holds l's shard lock.
+func (s *Store) readWrite(writes []lineWrite, l data.LineID) []lineWrite {
+	ls := &s.lines[l]
+	writes = append(writes, lineWrite{
+		line: l, weeks: ls.dirty, profile: ls.profile, dslam: ls.dslam, usage: ls.usage,
+		unlisted: !ls.listed,
+	})
+	ls.dirty, ls.listed = 0, true
+	return writes
 }
 
 // sortTickets puts ts in the canonical ticket order, data.TicketLess.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"nevermind/internal/data"
@@ -41,12 +42,8 @@ func TestStoreIngestAndSnapshot(t *testing.T) {
 	if s.NumLines() != 2 || s.LatestWeek() != 11 || s.Version() != 1 {
 		t.Fatalf("lines=%d latest=%d version=%d", s.NumLines(), s.LatestWeek(), s.Version())
 	}
-	total := 0
-	for _, c := range s.ShardSizes() {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("shard sizes sum to %d", total)
+	if held := heldLines(s); len(held) != 2 || held[0] != 3 || held[1] != 7 {
+		t.Fatalf("line table holds %v, want [3 7]", held)
 	}
 
 	sn := s.Snapshot()
@@ -118,6 +115,63 @@ func TestStoreIngestAndSnapshot(t *testing.T) {
 	if sn3.DS.ProfileOf[7] != 1 || sn3.DS.DSLAMOf[7] != 2 || sn3.DS.UsageOf[7] != 0.5 {
 		t.Fatalf("Missing record clobbered static attributes: profile=%d dslam=%d usage=%v",
 			sn3.DS.ProfileOf[7], sn3.DS.DSLAMOf[7], sn3.DS.UsageOf[7])
+	}
+}
+
+// TestStoreMissingOnlyLineHeld: a line whose only record is a Missing
+// (modem-off) one is held like any other. NumLines counts it, a re-ingest
+// of a held line does not, a checkpoint carries it, and the restored store
+// holds it again with its cell.
+func TestStoreMissingOnlyLineHeld(t *testing.T) {
+	s := NewStore(2)
+	recs := []TestRecord{
+		{Line: 5, Week: 3, F: []float32{1}, Profile: 1, DSLAM: 2},
+		{Line: 2000, Week: 4, Missing: true},
+	}
+	if _, err := s.IngestTests(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.IngestTests(recs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumLines() != 2 {
+		t.Fatalf("NumLines %d, want 2", s.NumLines())
+	}
+	again := NewStore(4)
+	if _, err := again.ReadCheckpoint(bytes.NewReader(writeCkptBytes(t, s))); err != nil {
+		t.Fatal(err)
+	}
+	assertValidRestore(t, again)
+	assertSameState(t, s, again)
+	lines, _ := storeState(again)
+	if c, ok := lines[2000]; !ok || len(c.tests) != 1 || !c.tests[0].Missing || c.tests[0].Week != 4 {
+		t.Fatalf("restored line 2000 = %+v, %v; want its one Missing week-4 cell", c, ok)
+	}
+	if again.NumLines() != 2 {
+		t.Fatalf("restored NumLines %d, want 2", again.NumLines())
+	}
+}
+
+// TestStoreLineTableGrowsToCap: one record at the highest accepted id grows
+// the line table to MaxLineID entries with one line held, and a lower id
+// then lands inside it without growing it.
+func TestStoreLineTableGrowsToCap(t *testing.T) {
+	s := NewStore(2)
+	if _, err := s.IngestTests([]TestRecord{{Line: MaxLineID - 1, Week: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.lines) != MaxLineID || s.GridLines() != MaxLineID || s.NumLines() != 1 {
+		t.Fatalf("line table %d entries, grid lines %d, NumLines %d; want %d, %d, 1",
+			len(s.lines), s.GridLines(), s.NumLines(), MaxLineID, MaxLineID)
+	}
+	if held := heldLines(s); len(held) != 1 || held[0] != MaxLineID-1 {
+		t.Fatalf("line table holds %v", held)
+	}
+	if _, err := s.IngestTests([]TestRecord{{Line: 7, Week: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.lines) != MaxLineID || s.NumLines() != 2 {
+		t.Fatalf("after line 7: line table %d entries, NumLines %d", len(s.lines), s.NumLines())
 	}
 }
 

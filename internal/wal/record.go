@@ -160,20 +160,6 @@ func ticketFieldErr(t data.Ticket) error {
 	return nil
 }
 
-// EncodePayload serialises r's payload (no framing) onto buf and returns the
-// extended slice. Exported for the replication layer, which ships WAL records
-// over HTTP in the same frame format the segments use.
-func EncodePayload(buf []byte, r *Record) ([]byte, error) {
-	return appendRecord(buf, r)
-}
-
-// DecodePayload parses one payload back into a Record, with the full range
-// validation decodeRecord applies: a payload that decodes is safe to hand to
-// the store. Exported for the replication layer's stream decoder.
-func DecodePayload(payload []byte) (*Record, error) {
-	return decodeRecord(payload)
-}
-
 // decodeRecord parses one payload back into a Record. Every field is
 // range-checked against the data-model bounds, so a record that decodes is
 // safe to hand to the store: a corrupt batch can fail the CRC, fail here, or

@@ -3,13 +3,13 @@
 # base commit and from the working tree, then runs each gated benchmark
 # (compiled scoring, serve score, a desk-sized score lookup, score after
 # ingest, WAL ingest, ingest decode, checkpoint write, recovery, replica
-# catch-up, drift monitors, shadow score, week-table build, locate) on
-# both, BENCH_DIFF_COUNT rounds (default 5), alternating which side runs
-# first, and compares each side's medians (benchjson, then benchdiff). The
-# two sides of one benchmark run seconds apart, so a host phase that slows
-# one slows the other; comparing with the absolute rows committed in
-# BENCH_ml.json instead failed the unchanged tree on this host's ±40%
-# multi-minute phases and passed real regressions.
+# catch-up, drift monitors, shadow score, week-table build, snapshot delta
+# publish, locate) on both, BENCH_DIFF_COUNT rounds (default 5), alternating
+# which side runs first, and compares each side's medians (benchjson, then
+# benchdiff). The two sides of one benchmark run seconds apart, so a host
+# phase that slows one slows the other; comparing with the absolute rows
+# committed in BENCH_ml.json instead failed the unchanged tree on this
+# host's ±40% multi-minute phases and passed real regressions.
 #
 # The base is HEAD when tracked files have uncommitted changes (the change
 # under review is the diff against HEAD), else HEAD~1 (the change under
@@ -33,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-MATCH='ScoreCompiled|ServeScore|ServeLookup|ScoreAfterIngest|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|DriftMonitors|ShadowScore|WeekTableBuild|Locate$'
+MATCH='ScoreCompiled|ServeScore|ServeLookup|ScoreAfterIngest|IngestWAL|IngestDecode|Checkpoint|Recovery|ReplicaCatchup|DriftMonitors|ShadowScore|WeekTableBuild|SnapshotDelta|Locate$'
 COUNT="${BENCH_DIFF_COUNT:-5}"
 if git diff --quiet HEAD --; then BASE=HEAD~1; else BASE=HEAD; fi
 WORK="$(mktemp -d)"
