@@ -393,8 +393,8 @@ func rankTestTable(scores []float64, lines []data.LineID) (*weekTable, *Snapshot
 // TestRankByScoreMatchesSort: ranking from packed keys gives, line for
 // line, the order the table served before it, the reference sort. For every
 // n from 1 to the population plus one, a fresh table's rankedLines(sn, n) is
-// the reference's first n lines, whether the bounded selection or the full
-// sort picked them; the largest population is checked at a spread of n.
+// the reference's first n lines, including the whole population, where the
+// heap holds every key; the largest population is checked at a spread of n.
 func TestRankByScoreMatchesSort(t *testing.T) {
 	r := rng.Derive(29, 0)
 	for _, pop := range []int{0, 1, 2, 3, 17, 300, 1023, 32768} {

@@ -90,9 +90,10 @@ func parseScoreBody(body []byte, exs []ScoreExample) ([]ScoreExample, bool) {
 	p.ws()
 	ok := p.object(scoreKeys, func(int) bool {
 		present = true
-		return p.array(func() bool {
+		elem, ok := p.open()
+		for elem {
 			var e ScoreExample
-			ok := p.object(exampleKeys, func(k int) bool {
+			if !p.object(exampleKeys, func(k int) bool {
 				if k == 0 {
 					v, ok := p.int32()
 					e.Line = data.LineID(v)
@@ -101,10 +102,13 @@ func parseScoreBody(body []byte, exs []ScoreExample) ([]ScoreExample, bool) {
 				v, ok := p.integer()
 				e.Week = int(v)
 				return ok
-			})
+			}) {
+				return false
+			}
 			exs = append(exs, e)
-			return ok
-		})
+			elem, ok = p.next()
+		}
+		return ok
 	})
 	p.ws()
 	switch {
@@ -297,7 +301,7 @@ func (ib *IngestBody) parseFast(body []byte, cut cutSearch) bool {
 				}
 			case !haveTickets && p.lit(`"tickets"`):
 				haveTickets = true
-				if !p.colon() || !p.array(func() bool { return ib.ticket(&p) }) {
+				if !p.colon() || !ib.tickets(&p) {
 					return false
 				}
 			default:
@@ -350,12 +354,8 @@ var (
 // array is decoded again serially from its start, so where a cut lands
 // never decides the outcome.
 func (ib *IngestBody) tests(p *fastParser, cut cutSearch) bool {
-	if !p.eat('[') {
-		return false
-	}
-	p.ws()
-	if p.eat(']') {
-		return true
+	if elem, ok := p.open(); !elem {
+		return ok
 	}
 	start := p.i
 	cuts := cut(ib.cuts[:0], p.b, start)
@@ -482,8 +482,8 @@ func (ib *IngestBody) testRecords(p *fastParser) bool {
 		if !ib.test(p) {
 			return false
 		}
-		if !p.more() {
-			return p.eat(']')
+		if elem, ok := p.next(); !elem {
+			return ok
 		}
 	}
 }
@@ -535,6 +535,18 @@ func (ib *IngestBody) test(p *fastParser) bool {
 	return true
 }
 
+// tickets parses the "tickets" array at the cursor.
+func (ib *IngestBody) tickets(p *fastParser) bool {
+	elem, ok := p.open()
+	for elem {
+		if !ib.ticket(p) {
+			return false
+		}
+		elem, ok = p.next()
+	}
+	return ok
+}
+
 // ticket parses one ticket record object and appends it and its span.
 func (ib *IngestBody) ticket(p *fastParser) bool {
 	start := p.i
@@ -569,29 +581,20 @@ func (ib *IngestBody) ticket(p *fastParser) bool {
 
 // features parses an "f" array into ib.floats and carves r.F from it. An
 // append that grows ib.floats leaves the records already carved pointing at
-// the old array, whose values no later append touches. It loops over the
-// elements itself rather than through p.array: a closure call per float is
-// a measurable share of a bulk body's decode.
+// the old array, whose values no later append touches.
 func (ib *IngestBody) features(p *fastParser, r *TestRecord) bool {
-	if !p.eat('[') {
-		return false
-	}
-	p.ws()
 	start := len(ib.floats)
-	if !p.eat(']') {
-		for {
-			v, ok := p.float32()
-			if !ok {
-				return false
-			}
-			ib.floats = appendDoubling(ib.floats, v)
-			if !p.more() {
-				break
-			}
-		}
-		if !p.eat(']') {
+	elem, ok := p.open()
+	for elem {
+		var v float32
+		if v, ok = p.float32(); !ok {
 			return false
 		}
+		ib.floats = appendDoubling(ib.floats, v)
+		elem, ok = p.next()
+	}
+	if !ok {
+		return false
 	}
 	end := len(ib.floats)
 	r.F = ib.floats[start:end:end]
@@ -869,25 +872,32 @@ func (p *fastParser) more() bool {
 	return true
 }
 
-// array parses one JSON array, each element by elem, which parses from the
-// same cursor. elem takes no parser argument: handing p to a function value
-// would make every caller's fastParser escape to the heap.
-func (p *fastParser) array(elem func() bool) bool {
+// open and next step through one JSON array whose elements the caller
+// parses at the cursor. open eats the '[' and the whitespace after it;
+// next follows an element and eats a ',' or the ']'. Each returns elem
+// true with the cursor on an element, or elem false with ok telling
+// whether the array closed:
+//
+//	elem, ok := p.open()
+//	for elem {
+//		// parse one element; return false if it fails
+//		elem, ok = p.next()
+//	}
+//	return ok
+func (p *fastParser) open() (elem, ok bool) {
 	if !p.eat('[') {
-		return false
+		return false, false
 	}
 	p.ws()
-	if p.eat(']') {
-		return true
+	return !p.eat(']'), true
+}
+
+// next follows an array element; see open.
+func (p *fastParser) next() (elem, ok bool) {
+	if p.more() {
+		return true, true
 	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !p.more() {
-			return p.eat(']')
-		}
-	}
+	return false, p.eat(']')
 }
 
 // object parses one JSON object whose keys all come from keys, each at most

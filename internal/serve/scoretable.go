@@ -196,20 +196,11 @@ func rankCmp(a, b rankKey) int {
 	return cmp.Compare(a.line, b.line)
 }
 
-// rankByScore returns the first n of lines in rankCmp order of
-// (scores[line], line). For 0 < n < len(lines) it keeps the n best keys in
-// a bounded heap, one pass over lines, and sorts only those; from
-// len(lines) on it sorts every key.
+// rankByScore returns the first min(n, len(lines)) of lines in rankCmp
+// order of (scores[line], line), n > 0. It picks them with topKeys and
+// sorts only those, so from n = len(lines) on it sorts every key.
 func rankByScore(scores []float64, lines []data.LineID, n int) []data.LineID {
-	var keys []rankKey
-	if n >= len(lines) {
-		keys = make([]rankKey, len(lines))
-		for i, l := range lines {
-			keys[i] = rankKey{scores[l], l}
-		}
-	} else {
-		keys = topKeys(scores, lines, n)
-	}
+	keys := topKeys(scores, lines, min(n, len(lines)))
 	slices.SortFunc(keys, rankCmp)
 	r := make([]data.LineID, len(keys))
 	for i, k := range keys {
@@ -218,8 +209,8 @@ func rankByScore(scores []float64, lines []data.LineID, n int) []data.LineID {
 	return r
 }
 
-// topKeys returns, in no particular order, the n keys, 0 < n < len(lines),
-// that come first in rankCmp order. They are kept as a heap whose root is
+// topKeys returns, in no particular order, the n keys, n <= len(lines) and
+// n > 0 unless lines is empty, that come first in rankCmp order. They are kept as a heap whose root is
 // the worst of them, so each further line costs one comparison unless it
 // displaces the root.
 func topKeys(scores []float64, lines []data.LineID, n int) []rankKey {
